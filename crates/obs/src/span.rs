@@ -19,7 +19,7 @@ pub enum Stage {
     Noise,
     /// Spike-to-analog PSC decode of the received raster.
     Decode,
-    /// The layer forward pass (dense or sparse kernel).
+    /// The layer forward pass.
     Simulate,
     /// From simulation end to the reply being recorded: logits copy and
     /// response construction.
@@ -81,9 +81,12 @@ impl Stage {
 pub enum KernelPath {
     /// Not a kernel-dispatching stage.
     None,
-    /// Dense forward: every column scanned.
+    /// Dense forward: every column scanned.  The simulator's single
+    /// forward kernel, so every `Simulate` span carries this tag.
     Dense,
-    /// Sparse gather: only the active column set touched.
+    /// Sparse gather: only the active column set touched.  No longer
+    /// produced by the simulator; the code stays reserved on the wire so
+    /// recorded traces keep decoding.
     Sparse,
 }
 
@@ -132,7 +135,7 @@ pub struct Span {
     pub end_ns: u64,
     /// Kernel taken by a simulate span; [`KernelPath::None`] otherwise.
     pub kernel: KernelPath,
-    /// Measured raster density the kernel decision saw; `0.0` for
+    /// Measured density of the raster the layer received; `0.0` for
     /// non-simulate spans.
     pub density: f32,
 }

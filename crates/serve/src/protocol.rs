@@ -217,9 +217,10 @@ pub struct TraceSpan {
     pub start_ns: u64,
     /// End of the span, nanoseconds since the server's monotonic epoch.
     pub end_ns: u64,
-    /// Kernel path taken by a `simulate` span (`"dense"` or `"sparse"`).
+    /// Kernel path tag of a `simulate` span: `"dense"` from this server
+    /// (`"sparse"` is a reserved wire value).
     pub kernel: Option<String>,
-    /// Measured raster density that drove the kernel choice (0 for stages
+    /// Measured density of the raster the layer received (0 for stages
     /// where density is not meaningful).
     pub density: f32,
 }

@@ -129,9 +129,9 @@ fn check_timeline(trace: &RequestTrace, context: &str) -> f64 {
                 .kernel
                 .as_deref()
                 .unwrap_or_else(|| panic!("{context}: simulate span without a kernel tag"));
-            assert!(
-                kernel == "dense" || kernel == "sparse",
-                "{context}: unknown kernel {kernel:?}"
+            assert_eq!(
+                kernel, "dense",
+                "{context}: every layer has one (dense) forward kernel"
             );
             assert!(
                 (0.0..=1.0).contains(&span.density),

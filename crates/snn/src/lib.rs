@@ -58,8 +58,7 @@ pub use config::CodingConfig;
 pub use conversion::{convert, ConversionConfig, ThresholdBalancer};
 pub use error::SnnError;
 pub use network::{
-    EvaluationSummary, IdentityTransform, SimulationOutcome, SnnLayer, SnnNetwork, SparsityPolicy,
-    SpikeTransform,
+    EvaluationSummary, IdentityTransform, SimulationOutcome, SnnLayer, SnnNetwork, SpikeTransform,
 };
 pub use neuron::{IfNeuron, IfbNeuron, ResetKind};
 pub use spike::SpikeRaster;

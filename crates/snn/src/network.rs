@@ -13,15 +13,13 @@
 //!   byte-for-byte equality between the two, and the `sim_throughput` bench
 //!   measures the speedup.
 //!
-//! The workspace path is additionally **sparsity-aware**: each layer decodes
-//! only the active (non-empty) spike trains and, under the default
-//! [`SparsityPolicy::AutoTuned`], switches to gather kernels that touch only the
-//! nonzero decoded activations whenever the measured density drops below the
-//! policy threshold.  Because the skipped terms are all exact `w · 0.0`
-//! products, the sparse kernels are bit-identical to the dense ones — the
-//! `sparse_throughput` bench asserts byte-equal logits before timing the
-//! speedup, which (unlike the dense engine) grows with how few spikes the
-//! coding emits and how many of them the noise deletes.
+//! Each weighted layer has exactly one forward kernel: the bias-seeded
+//! mat-vec for fully connected layers, and the bias-seeded, zero-skipping
+//! patch-matrix product for convolutions.  Spike sparsity still pays where
+//! it is free: silent trains cost nothing in the noise models, the
+//! convolution skips exact-zero patch entries, and each layer's measured
+//! raster density is recorded for tracing
+//! ([`SimWorkspace::density_per_layer`]).
 //!
 //! [`SnnNetwork::simulate`] is a thin wrapper over a one-shot workspace, so
 //! existing callers keep their API and gain the allocation-free inner loop.
@@ -33,8 +31,8 @@ use std::ops::Range;
 use std::time::Instant;
 
 use nrsnn_tensor::{
-    im2col, im2col_slices, matmul_sparse_into, matmul_sparse_slices, matvec_bias_slices,
-    matvec_sparse_slices, transpose, transpose_slices, Conv2dGeometry, Pool2dGeometry, Tensor,
+    im2col, im2col_slices, matmul_sparse_into, matmul_sparse_slices, matvec_bias_slices, transpose,
+    transpose_slices, Conv2dGeometry, Pool2dGeometry, Tensor,
 };
 use rand::RngCore;
 
@@ -43,100 +41,6 @@ use crate::{
     BatchOutcome, CodingConfig, CodingScratch, NeuralCoding, Result, SimStage, SimWorkspace,
     SnnError, SpikeRaster, StageEvent,
 };
-
-/// How the simulation engine chooses between the dense and the
-/// sparsity-aware kernels for each weighted layer.
-///
-/// Both kernel families are **bit-identical** (the sparse kernels only skip
-/// terms of the form `w · 0.0`, which are bitwise no-ops on a bias-seeded
-/// accumulator — see `nrsnn_tensor::matvec_sparse_slices`), so the policy is
-/// purely a performance knob: it can never change a logit, a prediction or
-/// an RNG stream.  The default [`SparsityPolicy::AutoTuned`] measures each
-/// layer's decoded-input density per sample and picks the sparse kernel
-/// below the threshold — which is what makes simulation speed a function of
-/// the neural coding: a TTFS raster whose trains were half-deleted decodes
-/// to a half-empty activation vector and pays for only the active half.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SparsityPolicy {
-    /// The default: per layer and per sample, use the sparse kernels when
-    /// the measured input density is at most the crossover calibrated for
-    /// the **currently active SIMD backend**
-    /// ([`SparsityPolicy::max_density_for`]).  The backend is queried at
-    /// decision time, so a policy built before an
-    /// `nrsnn_tensor::simd::set_backend` call still picks the right
-    /// kernel afterwards.
-    AutoTuned,
-    /// Like [`SparsityPolicy::AutoTuned`] with an explicit, fixed
-    /// crossover: use the sparse kernels when the measured input density
-    /// (`nonzero inputs / input width`) is at most `max_density`, the
-    /// dense kernels otherwise.
-    Auto {
-        /// Density at or below which the sparse kernels are chosen.
-        max_density: f32,
-    },
-    /// Always use the dense kernels (the pre-sparsity engine, and the
-    /// baseline the `sparse_throughput` bench compares against).
-    Dense,
-    /// Always use the sparse kernels, whatever the density (used by the
-    /// bit-identity tests and the allocation regression test).
-    Sparse,
-}
-
-impl SparsityPolicy {
-    /// [`SparsityPolicy::AutoTuned`] crossover on the scalar backend.
-    ///
-    /// The sparse matvec performs `d·n` register multiply-adds per row
-    /// against the dense kernel's `n`, but the dense kernel's lane-blocked
-    /// loop auto-vectorises even when built for the "scalar" backend, so
-    /// the measured crossover (sparse_throughput bench, MNIST-like MLP)
-    /// sits near `d = 0.3`: 1.0x at d=0.30, ~1.4-1.8x at d=0.12, ~1.9x at
-    /// d=0.06.  (Before the dense kernels were vectorised this constant
-    /// was 0.75 — the crossover is a property of the dense engine's speed,
-    /// and re-measuring it after the SIMD rewrite moved it down.)
-    pub const SCALAR_MAX_DENSITY: f32 = 0.3;
-
-    /// [`SparsityPolicy::AutoTuned`] crossover on vector backends
-    /// (SSE2/AVX2), where the dense kernels are another 2-3x faster while
-    /// the sparse gather loop — deliberately scalar, see
-    /// `nrsnn_tensor::matvec_sparse_slices` — is not, pushing the
-    /// crossover down to roughly one active input in ten.
-    pub const VECTOR_MAX_DENSITY: f32 = 0.1;
-
-    /// The crossover density [`SparsityPolicy::AutoTuned`] applies on the
-    /// given SIMD backend.
-    pub fn max_density_for(backend: nrsnn_tensor::simd::SimdBackend) -> f32 {
-        if backend.is_vector() {
-            SparsityPolicy::VECTOR_MAX_DENSITY
-        } else {
-            SparsityPolicy::SCALAR_MAX_DENSITY
-        }
-    }
-
-    /// The default policy: [`SparsityPolicy::AutoTuned`] auto-selection
-    /// with the crossover calibrated to the active SIMD backend.
-    pub fn auto() -> Self {
-        SparsityPolicy::AutoTuned
-    }
-
-    /// Whether a layer with the given measured input density should take
-    /// the sparse kernels under this policy.
-    fn use_sparse(&self, density: f32) -> bool {
-        match self {
-            SparsityPolicy::AutoTuned => {
-                density <= SparsityPolicy::max_density_for(nrsnn_tensor::simd::active_backend())
-            }
-            SparsityPolicy::Auto { max_density } => density <= *max_density,
-            SparsityPolicy::Dense => false,
-            SparsityPolicy::Sparse => true,
-        }
-    }
-}
-
-impl Default for SparsityPolicy {
-    fn default() -> Self {
-        SparsityPolicy::auto()
-    }
-}
 
 /// One layer of a converted spiking network.
 #[derive(Debug, Clone, PartialEq)]
@@ -205,8 +109,7 @@ impl SnnLayer {
     ///
     /// Weighted layers seed their accumulators from the bias and add the
     /// input terms in ascending index order — the exact operation order of
-    /// the dense *and* sparse workspace kernels, so all three simulation
-    /// paths stay bit-identical.
+    /// the workspace kernels, so both simulation paths stay bit-identical.
     fn forward_analog(&self, input: &[f32]) -> Result<Vec<f32>> {
         match self {
             SnnLayer::Linear { weights, bias } => {
@@ -294,9 +197,8 @@ impl SnnLayer {
                 scratch.prod.clear();
                 scratch.prod.resize(positions * out_ch, 0.0);
                 // Bias-seeded and skipping exact-zero patch entries: the
-                // convolution arm is inherently input-sparsity-aware, its
-                // FLOPs scale with the number of nonzero decoded activations
-                // gathered into the patch matrix.
+                // convolution's FLOPs scale with the number of nonzero
+                // decoded activations gathered into the patch matrix.
                 matmul_sparse_slices(
                     &scratch.cols,
                     positions,
@@ -336,45 +238,6 @@ impl SnnLayer {
                         }
                     }
                 }
-            }
-        }
-    }
-
-    /// Sparsity-aware sibling of [`SnnLayer::forward_analog_into`]: `active`
-    /// holds the ascending indices of the nonzero entries of `input`, and
-    /// fully connected layers restrict their dot products to those columns
-    /// (`O(m·|active|)` instead of `O(m·n)`).
-    ///
-    /// Bit-identical to the dense pass by the sparse-kernel contract: the
-    /// skipped terms are all `w · 0.0`, bitwise no-ops on the bias-seeded
-    /// accumulator.  Convolutions and pooling delegate to the dense pass —
-    /// the convolution's patch-matrix kernel already skips exact-zero
-    /// activations element-wise, so its FLOPs scale with `|active|` either
-    /// way.
-    fn forward_sparse_into(
-        &self,
-        input: &[f32],
-        active: &[u32],
-        scratch: &mut ConvScratch,
-        out: &mut Vec<f32>,
-    ) {
-        match self {
-            SnnLayer::Linear { weights, bias } => {
-                let (m, n) = (weights.dims()[0], weights.dims()[1]);
-                out.clear();
-                out.resize(m, 0.0);
-                matvec_sparse_slices(
-                    weights.as_slice(),
-                    m,
-                    n,
-                    input,
-                    active,
-                    bias.as_slice(),
-                    out,
-                );
-            }
-            SnnLayer::Conv { .. } | SnnLayer::AvgPool { .. } => {
-                self.forward_analog_into(input, scratch, out);
             }
         }
     }
@@ -482,13 +345,11 @@ pub struct SimulationOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnnNetwork {
     layers: Vec<SnnLayer>,
-    sparsity: SparsityPolicy,
 }
 
 impl SnnNetwork {
     /// Creates a network after validating that consecutive layer widths
-    /// match.  The simulation engine starts on the default
-    /// [`SparsityPolicy::auto`]; see [`SnnNetwork::with_sparsity`].
+    /// match.
     ///
     /// # Errors
     /// Returns [`SnnError::Conversion`] for an empty chain or mismatched
@@ -508,25 +369,7 @@ impl SnnNetwork {
                 )));
             }
         }
-        Ok(SnnNetwork {
-            layers,
-            sparsity: SparsityPolicy::default(),
-        })
-    }
-
-    /// Sets the kernel-selection policy of the simulation engine (builder
-    /// style).  Purely a performance knob: every policy produces
-    /// bit-identical results, as pinned by the `workspace_bit_identity`
-    /// integration tests.
-    #[must_use]
-    pub fn with_sparsity(mut self, sparsity: SparsityPolicy) -> Self {
-        self.sparsity = sparsity;
-        self
-    }
-
-    /// The kernel-selection policy the simulation engine runs under.
-    pub fn sparsity(&self) -> SparsityPolicy {
-        self.sparsity
+        Ok(SnnNetwork { layers })
     }
 
     /// The layers of the network.
@@ -823,16 +666,13 @@ impl SnnNetwork {
         ws: &mut SimWorkspace,
     ) -> BatchOutcome {
         let num_layers = self.layers.len();
-        // Grow (never shrink) the per-layer raster and active-index pools,
-        // so buffers reach a fixed point and later samples allocate nothing.
+        // Grow (never shrink) the per-layer raster pools, so buffers reach a
+        // fixed point and later samples allocate nothing.
         if ws.rasters.len() < num_layers {
             ws.rasters.resize_with(num_layers, SpikeRaster::default);
         }
         if ws.received.len() < num_layers {
             ws.received.resize_with(num_layers, SpikeRaster::default);
-        }
-        if ws.active.len() < num_layers {
-            ws.active.resize_with(num_layers, Vec::new);
         }
         ws.spikes_per_layer.clear();
         ws.density_per_layer.clear();
@@ -856,14 +696,7 @@ impl SnnNetwork {
             &mut ws.rasters[0],
             &mut ws.encode_scratch,
         );
-        stage_mark(
-            &mut ws.stage_events,
-            &mut mark,
-            SimStage::Encode,
-            0,
-            false,
-            0.0,
-        );
+        stage_mark(&mut ws.stage_events, &mut mark, SimStage::Encode, 0, 0.0);
         // Skipping an identity transform is exact: it would neither change
         // the raster nor consume randomness (see SpikeTransform::is_identity).
         let skip_noise = noise.is_identity();
@@ -880,57 +713,31 @@ impl SnnNetwork {
                     &mut mark,
                     SimStage::Noise,
                     index as u32,
-                    false,
                     0.0,
                 );
                 &ws.received[index]
             };
             ws.spikes_per_layer.push(received.total_spikes());
-
-            // Auto kernel selection on the raster's measured density (the
-            // fraction of neurons that fired at all — the active set the
-            // raster tracks).  Either branch produces bit-identical
-            // activations: the sparse branch only skips decoding silent
-            // trains (which decode to exactly +0.0) and `w · 0.0` product
-            // terms, so this is purely a speed decision.
+            // The fraction of neurons that fired at all, recorded for
+            // tracing; it does not steer the computation.
             let density = received.density();
             ws.density_per_layer.push(density);
-            // Both branches decode through `decode_active_into` — its `out`
-            // is bit-identical to `decode_into` by contract, and codings
-            // with a tabulated PSC kernel (TTAS/TTFS/phase) amortise it
-            // there, which the dense branch profits from too.  The branch
-            // only decides which matrix kernels consume the activations.
-            let active = &mut ws.active[index];
-            coding.decode_active_into(
-                received,
-                cfg,
-                &mut ws.decoded,
-                active,
-                &mut ws.decode_scratch,
-            );
+
+            // Integrate the received trains through the coding's PSC kernel.
+            coding.decode_into(received, cfg, &mut ws.decoded, &mut ws.decode_scratch);
             stage_mark(
                 &mut ws.stage_events,
                 &mut mark,
                 SimStage::Decode,
                 index as u32,
-                false,
                 0.0,
             );
-            let sparse = layer.has_weights() && self.sparsity.use_sparse(density);
-            if sparse {
-                // Sparse branch: the gather kernels restrict themselves to
-                // the nonzero column set collected during the decode.
-                layer.forward_sparse_into(&ws.decoded, active, &mut ws.conv, &mut ws.activation);
-            } else {
-                // Dense branch: scan every column.
-                layer.forward_analog_into(&ws.decoded, &mut ws.conv, &mut ws.activation);
-            }
+            layer.forward_analog_into(&ws.decoded, &mut ws.conv, &mut ws.activation);
             stage_mark(
                 &mut ws.stage_events,
                 &mut mark,
                 SimStage::Forward,
                 index as u32,
-                sparse,
                 density,
             );
             let is_last = index + 1 == num_layers;
@@ -950,7 +757,6 @@ impl SnnNetwork {
                     &mut mark,
                     SimStage::Encode,
                     index as u32 + 1,
-                    false,
                     0.0,
                 );
             }
@@ -1062,7 +868,6 @@ fn stage_mark(
     mark: &mut Option<Instant>,
     stage: SimStage,
     layer: u32,
-    sparse: bool,
     density: f32,
 ) {
     if let Some(start) = *mark {
@@ -1072,7 +877,7 @@ fn stage_mark(
             layer,
             start,
             end,
-            sparse,
+            sparse: false,
             density,
         });
         *mark = Some(end);
@@ -1402,10 +1207,10 @@ mod tests {
         }
         for e in events {
             assert!(e.end >= e.start);
+            assert!(!e.sparse);
             if e.stage == SimStage::Forward {
                 assert_eq!(e.density, traced_ws.density_per_layer()[e.layer as usize]);
             } else {
-                assert!(!e.sparse);
                 assert_eq!(e.density, 0.0);
             }
         }

@@ -15,10 +15,10 @@ use serde::{Deserialize, Serialize};
 /// what makes the different neural codings differ in their robustness to
 /// spike deletion and jitter.
 ///
-/// A neuron with a non-empty train is *active*; the sparsity-aware
-/// simulation engine uses the active set (see
-/// [`SpikeRaster::num_active_trains`] / [`SpikeRaster::density`]) to skip
-/// work that empty trains cannot contribute.
+/// A neuron with a non-empty train is *active*; the simulation engine
+/// records each received raster's activity fraction
+/// ([`SpikeRaster::density`], from [`SpikeRaster::num_active_trains`]) for
+/// tracing.
 ///
 /// ```
 /// use nrsnn_snn::SpikeRaster;
@@ -90,8 +90,8 @@ impl SpikeRaster {
     }
 
     /// Fraction of neurons that fire at least once — the activity measure
-    /// the sparsity-aware simulation engine selects its kernels by.  An
-    /// empty raster reports a density of `1.0` (nothing can be skipped).
+    /// the simulation engine records per layer for tracing.  An empty
+    /// raster reports a density of `1.0` (nothing can be skipped).
     pub fn density(&self) -> f32 {
         if self.trains.is_empty() {
             return 1.0;

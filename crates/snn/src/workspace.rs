@@ -66,7 +66,7 @@ pub enum SimStage {
     Noise,
     /// Spike-to-analog PSC decode of a received raster.
     Decode,
-    /// A layer's forward pass (dense or sparse kernel).
+    /// A layer's forward pass.
     Forward,
 }
 
@@ -87,11 +87,13 @@ pub struct StageEvent {
     pub start: Instant,
     /// Phase end.
     pub end: Instant,
-    /// For [`SimStage::Forward`]: whether the sparse gather kernel was
-    /// taken; `false` otherwise.
+    /// Always `false`: every layer has a single forward kernel.  Kept as a
+    /// public field because external trace consumers (the `perfbench`
+    /// harness) still read it.
     pub sparse: bool,
-    /// For [`SimStage::Forward`]: the measured raster density the kernel
-    /// decision saw; `0.0` otherwise.
+    /// For [`SimStage::Forward`]: the measured density (fraction of
+    /// neurons that fired) of the raster the layer received; `0.0`
+    /// otherwise.
     pub density: f32,
 }
 
@@ -128,24 +130,17 @@ pub struct SimWorkspace {
     pub(crate) received: Vec<SpikeRaster>,
     /// PSC-decoded activations entering the current layer.
     pub(crate) decoded: Vec<f32>,
-    /// Per-layer active-index scratch: `active[i]` holds the ascending
-    /// indices of the nonzero entries of layer `i`'s decoded input — the
-    /// column set the sparse kernels restrict themselves to.  Per layer
-    /// (like the rasters) so every buffer reaches a fixed capacity after
-    /// warm-up.
-    pub(crate) active: Vec<Vec<u32>>,
     /// Reusable decode scratch handed to
-    /// [`crate::NeuralCoding::decode_active_into`] (e.g. TTAS tabulates its
-    /// PSC kernel in here once per raster instead of exp-ing per spike).
+    /// [`crate::NeuralCoding::decode_into`] (e.g. TTAS tabulates its PSC
+    /// kernel in here once per raster instead of exp-ing per spike).
     pub(crate) decode_scratch: Vec<f32>,
     /// Reusable SoA scratch handed to
     /// [`crate::NeuralCoding::encode_raster_into`]: the lane-blocked
     /// encoders compute per-neuron counts/ratios/bit patterns in here 8
     /// lanes at a time before materialising the spike trains.
     pub(crate) encode_scratch: CodingScratch,
-    /// Measured input density (`active.len() / input_width`) of each layer
-    /// in the most recent simulation — what the auto kernel selection
-    /// compared against its threshold.
+    /// Measured input density (fraction of neurons that fired) of each
+    /// layer's received raster in the most recent simulation.
     pub(crate) density_per_layer: Vec<f32>,
     /// Dense output of the current layer; after a simulation this holds the
     /// logits of the output layer.
@@ -195,15 +190,13 @@ impl SimWorkspace {
         ws.encode_scratch.bits.reserve(max_width);
         ws.spikes_per_layer.reserve(network.num_layers());
         ws.density_per_layer.reserve(network.num_layers());
-        // One raster pair and one active-index buffer per layer, each sized
-        // for that layer's input width; the per-train spike buffers still
-        // grow lazily on the first sample.
+        // One raster pair per layer, sized for that layer's input width;
+        // the per-train spike buffers still grow lazily on the first sample.
         for layer in network.layers() {
             ws.rasters
                 .push(SpikeRaster::new(layer.input_width(), cfg.time_steps));
             ws.received
                 .push(SpikeRaster::new(layer.input_width(), cfg.time_steps));
-            ws.active.push(Vec::with_capacity(layer.input_width()));
         }
         ws
     }
@@ -220,9 +213,9 @@ impl SimWorkspace {
         &self.spikes_per_layer
     }
 
-    /// Measured decoded-input density per layer (input layer first) of the
-    /// most recent simulation — the activity fractions the engine's
-    /// [`crate::SparsityPolicy`] compared against its threshold.
+    /// Measured input density per layer (input layer first) of the most
+    /// recent simulation: the fraction of each received raster's neurons
+    /// that fired at all.
     pub fn density_per_layer(&self) -> &[f32] {
         &self.density_per_layer
     }

@@ -10,7 +10,7 @@
 use nrsnn::prelude::*;
 use nrsnn_data::DatasetSpec;
 use nrsnn_runtime::{derive_seed, parallel_map, ParallelConfig};
-use nrsnn_snn::{SimulationOutcome, SnnLayer, SparsityPolicy};
+use nrsnn_snn::{SimulationOutcome, SnnLayer};
 use nrsnn_tensor::{Conv2dGeometry, Pool2dGeometry, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -296,10 +296,10 @@ fn simulate_batch_with_reused_workspace_matches_reference() {
     }
 }
 
-/// A deterministic hand-built MLP for the sparse/dense kernel matrix: small
-/// enough that the full `(coding × noise × batch) × thread-count` grid runs
-/// in seconds, with signed weights, a signed-zero bias entry and inputs
-/// containing exact zeros so the sparse kernels' skip set is non-trivial.
+/// A deterministic hand-built MLP for the scalar-vs-SIMD matrix: small
+/// enough that the full `(coding × noise × batch) × ISA` grid runs in
+/// seconds, with signed weights, a signed-zero bias entry and inputs
+/// containing exact zeros (silent input neurons).
 fn matrix_network() -> SnnNetwork {
     let fill = |rows: usize, cols: usize, scale: f32| -> Tensor {
         let data: Vec<f32> = (0..rows * cols)
@@ -332,161 +332,24 @@ fn matrix_inputs(samples: usize, width: usize) -> Tensor {
     Tensor::from_vec(data, &[samples, width]).unwrap()
 }
 
-/// Property-style matrix for the sparsity-aware engine: 5 codings ×
-/// {deletion, jitter, composite} × batch sizes 1..=16, each simulated under
-/// the forced-dense, forced-sparse and auto kernel policies, asserting
-/// byte-equal logits, equal outcomes/spike counts and identical RNG streams.
-/// The whole matrix then re-runs fanned over 1 and 4 worker threads and the
-/// two runs' digests must agree bit for bit.
-#[test]
-fn sparse_and_dense_kernels_are_byte_identical_across_the_matrix() {
-    let base = matrix_network();
-    let inputs = matrix_inputs(16, 24);
-    let cfg = CodingConfig::new(48, 1.0);
-    let noise_names = ["deletion", "jitter", "composite"];
-    let build_noise = |name: &str| -> Box<dyn SpikeTransform> {
-        match name {
-            "deletion" => Box::new(DeletionNoise::new(0.5).unwrap()),
-            "jitter" => Box::new(JitterNoise::new(1.5).unwrap()),
-            "composite" => Box::new(
-                CompositeNoise::new()
-                    .then(DeletionNoise::new(0.3).unwrap())
-                    .then(JitterNoise::new(1.0).unwrap()),
-            ),
-            other => panic!("unknown noise {other}"),
-        }
-    };
-    let combos: Vec<(CodingKind, &str)> = all_codings()
-        .into_iter()
-        .flat_map(|kind| noise_names.iter().map(move |&n| (kind, n)))
-        .collect();
-
-    // One combo = one pool task; returns the digest of every logit bit the
-    // combo produced (under the auto policy) for the cross-thread check.
-    let run_combo = |&(kind, noise_name): &(CodingKind, &str)| -> Vec<u32> {
-        let coding = kind.build();
-        let noise = build_noise(noise_name);
-        let policies = [
-            ("dense", base.clone().with_sparsity(SparsityPolicy::Dense)),
-            ("sparse", base.clone().with_sparsity(SparsityPolicy::Sparse)),
-            ("auto", base.clone().with_sparsity(SparsityPolicy::auto())),
-        ];
-        let mut digest = Vec::new();
-        for batch in 1..=16usize {
-            let seed = derive_seed(4096, batch as u64);
-            // (outcome, logit bits) per sample, per policy.
-            let mut per_policy: Vec<Vec<(BatchOutcome, Vec<u32>)>> = Vec::new();
-            for (policy_name, network) in &policies {
-                let mut ws = SimWorkspace::new();
-                let mut seen = Vec::new();
-                network
-                    .simulate_batch_each(
-                        &inputs,
-                        0..batch,
-                        coding.as_ref(),
-                        &cfg,
-                        noise.as_ref(),
-                        |sample| StdRng::seed_from_u64(derive_seed(seed, sample as u64)),
-                        &mut ws,
-                        |_, outcome, ws| {
-                            seen.push((
-                                outcome,
-                                ws.logits().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                            ));
-                        },
-                    )
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "{} {noise_name} batch {batch} {policy_name}: {e}",
-                            kind.label()
-                        )
-                    });
-                per_policy.push(seen);
-            }
-            let (dense, rest) = per_policy.split_first().unwrap();
-            for (results, (policy_name, _)) in rest.iter().zip(&policies[1..]) {
-                assert_eq!(
-                    dense,
-                    results,
-                    "{} under {noise_name}, batch {batch}: {policy_name} diverged from dense",
-                    kind.label()
-                );
-            }
-            digest.extend(
-                per_policy[2]
-                    .iter()
-                    .flat_map(|(_, bits)| bits.iter().copied()),
-            );
-        }
-        // RNG-stream identity: after simulating the same sample, the dense
-        // and sparse engines must leave the generator in the same state.
-        let row = inputs.row_slice(0).unwrap();
-        let mut ws = SimWorkspace::new();
-        let mut rng_dense = StdRng::seed_from_u64(derive_seed(7, 7));
-        let mut rng_sparse = StdRng::seed_from_u64(derive_seed(7, 7));
-        policies[0]
-            .1
-            .simulate_with(
-                row,
-                coding.as_ref(),
-                &cfg,
-                noise.as_ref(),
-                &mut rng_dense,
-                &mut ws,
-            )
-            .unwrap();
-        policies[1]
-            .1
-            .simulate_with(
-                row,
-                coding.as_ref(),
-                &cfg,
-                noise.as_ref(),
-                &mut rng_sparse,
-                &mut ws,
-            )
-            .unwrap();
-        assert_eq!(
-            rng_dense,
-            rng_sparse,
-            "{} under {noise_name}: RNG stream diverged between kernels",
-            kind.label()
-        );
-        digest
-    };
-
-    let serial = parallel_map(&ParallelConfig::with_threads(1), &combos, |_, combo| {
-        run_combo(combo)
-    });
-    let threaded = parallel_map(&ParallelConfig::with_threads(4), &combos, |_, combo| {
-        run_combo(combo)
-    });
-    assert_eq!(
-        serial, threaded,
-        "matrix digests differ across thread counts"
-    );
-    assert!(serial.iter().all(|digest| !digest.is_empty()));
-}
-
 /// Scalar-vs-SIMD matrix: 5 codings × {deletion, jitter, composite} ×
-/// batch sizes 1..=16 × {dense, sparse, auto} kernel policies × every ISA
-/// the host CPU supports.  For each ISA the three policies must agree byte
-/// for byte (outcomes + logit bits), and the per-ISA digests — logit bits,
-/// a few draws from the post-simulation RNG (so stream divergence is
-/// caught), and a conv → pool → linear probe (so the `im2col`/pooling arms
-/// ride through the same matrix) — must be identical to the scalar
-/// backend's digest.  Together with the lane-blocked coding layer this
-/// covers the *entire* noisy pipeline per ISA: block encode → noise →
-/// block decode → dense/sparse forward.  This is the end-to-end half of
-/// the SIMD bit-identity contract; the kernel-level half lives in
-/// `crates/tensor/tests/simd_kernel_proptest.rs` and the coding-layer half
-/// in `crates/snn/tests/coding_simd_proptest.rs`.
+/// batch sizes 1..=16 × every ISA the host CPU supports, with the scalar
+/// reference run both serially and fanned over 4 worker threads (the two
+/// digests must agree bit for bit).  The per-ISA digests — outcomes and logit bits, a few draws from the
+/// post-simulation RNG (so stream divergence is caught), and a conv →
+/// pool → linear probe (so the `im2col`/pooling arms ride through the same
+/// matrix) — must be identical to the scalar backend's digest.  Together
+/// with the lane-blocked coding layer this covers the *entire* noisy
+/// pipeline per ISA: block encode → noise → block decode → forward.  This
+/// is the end-to-end half of the SIMD bit-identity contract; the
+/// kernel-level half lives in `crates/tensor/tests/simd_kernel_proptest.rs`
+/// and the coding-layer half in `crates/snn/tests/coding_simd_proptest.rs`.
 #[test]
 fn scalar_and_simd_backends_are_byte_identical_across_the_matrix() {
     use nrsnn_tensor::simd::{available_backends, set_backend, SimdBackend};
     use rand::Rng;
 
-    let base = matrix_network();
+    let network = matrix_network();
     let inputs = matrix_inputs(16, 24);
     let conv_net = conv_network();
     let conv_inputs = matrix_inputs(2, 36);
@@ -510,117 +373,95 @@ fn scalar_and_simd_backends_are_byte_identical_across_the_matrix() {
         .flat_map(|kind| noise_names.iter().map(move |&n| (kind, n)))
         .collect();
 
-    // Runs the whole (coding × noise × batch × policy) grid on the current
-    // backend; returns one digest per combo of every logit bit plus the
-    // RNG-stream probe.
-    let digest_all = |isa: SimdBackend| -> Vec<Vec<u32>> {
-        combos
-            .iter()
-            .map(|&(kind, noise_name)| {
-                let coding = kind.build();
-                let noise = build_noise(noise_name);
-                let policies = [
-                    ("dense", base.clone().with_sparsity(SparsityPolicy::Dense)),
-                    ("sparse", base.clone().with_sparsity(SparsityPolicy::Sparse)),
-                    ("auto", base.clone().with_sparsity(SparsityPolicy::auto())),
-                ];
-                let mut digest = Vec::new();
-                for batch in 1..=16usize {
-                    let seed = derive_seed(8192, batch as u64);
-                    let mut per_policy: Vec<Vec<(BatchOutcome, Vec<u32>)>> = Vec::new();
-                    for (policy_name, network) in &policies {
-                        let mut ws = SimWorkspace::new();
-                        let mut seen = Vec::new();
-                        network
-                            .simulate_batch_each(
-                                &inputs,
-                                0..batch,
-                                coding.as_ref(),
-                                &cfg,
-                                noise.as_ref(),
-                                |sample| StdRng::seed_from_u64(derive_seed(seed, sample as u64)),
-                                &mut ws,
-                                |_, outcome, ws| {
-                                    seen.push((
-                                        outcome,
-                                        ws.logits().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                                    ));
-                                },
-                            )
-                            .unwrap_or_else(|e| {
-                                panic!(
-                                    "{isa:?} {} {noise_name} batch {batch} {policy_name}: {e}",
-                                    kind.label()
-                                )
-                            });
-                        per_policy.push(seen);
-                    }
-                    let (dense, rest) = per_policy.split_first().unwrap();
-                    for (results, (policy_name, _)) in rest.iter().zip(&policies[1..]) {
-                        assert_eq!(
-                            dense,
-                            results,
-                            "{isa:?}: {} under {noise_name}, batch {batch}: {policy_name} \
-                             diverged from dense",
-                            kind.label()
-                        );
-                    }
-                    digest.extend(
-                        per_policy[2]
-                            .iter()
-                            .flat_map(|(_, bits)| bits.iter().copied()),
-                    );
-                }
-                // RNG-stream probe: simulate one sample, then append a few
-                // draws — if any backend consumed a different number of
-                // random values, the cross-ISA digest comparison fails here.
-                let row = inputs.row_slice(0).unwrap();
-                let mut ws = SimWorkspace::new();
-                let mut rng = StdRng::seed_from_u64(derive_seed(99, 1));
-                policies[2]
-                    .1
-                    .simulate_with(
-                        row,
-                        coding.as_ref(),
-                        &cfg,
-                        noise.as_ref(),
-                        &mut rng,
-                        &mut ws,
-                    )
-                    .unwrap();
-                digest.extend((0..4).map(|_| rng.gen::<u32>()));
-                // Conv/pool probe: the `im2col` + kernel-transpose + matmul
-                // and pooling arms under the same coding, noise and ISA.
-                let mut conv_ws = SimWorkspace::new();
-                for sample in 0..2 {
-                    let row = conv_inputs.row_slice(sample).unwrap();
-                    let mut rng = StdRng::seed_from_u64(derive_seed(123, sample as u64));
-                    let outcome = conv_net
-                        .simulate_with(
-                            row,
-                            coding.as_ref(),
-                            &conv_cfg,
-                            noise.as_ref(),
-                            &mut rng,
-                            &mut conv_ws,
-                        )
-                        .unwrap();
-                    digest.push(outcome.total_spikes as u32);
-                    digest.extend(conv_ws.logits().iter().map(|v| v.to_bits()));
-                }
-                digest
-            })
-            .collect()
+    // Runs one (coding × noise) combo over every batch size on the current
+    // backend; returns the digest of every outcome and logit bit plus the
+    // RNG-stream and conv probes.
+    let digest_combo = |isa: SimdBackend, &(kind, noise_name): &(CodingKind, &str)| -> Vec<u32> {
+        let coding = kind.build();
+        let noise = build_noise(noise_name);
+        let mut digest = Vec::new();
+        for batch in 1..=16usize {
+            let seed = derive_seed(8192, batch as u64);
+            let mut ws = SimWorkspace::new();
+            network
+                .simulate_batch_each(
+                    &inputs,
+                    0..batch,
+                    coding.as_ref(),
+                    &cfg,
+                    noise.as_ref(),
+                    |sample| StdRng::seed_from_u64(derive_seed(seed, sample as u64)),
+                    &mut ws,
+                    |_, outcome, ws| {
+                        digest.push(outcome.predicted as u32);
+                        digest.push(outcome.total_spikes as u32);
+                        digest.extend(ws.logits().iter().map(|v| v.to_bits()));
+                    },
+                )
+                .unwrap_or_else(|e| {
+                    panic!("{isa:?} {} {noise_name} batch {batch}: {e}", kind.label())
+                });
+        }
+        // RNG-stream probe: simulate one sample, then append a few
+        // draws — if any backend consumed a different number of
+        // random values, the cross-ISA digest comparison fails here.
+        let row = inputs.row_slice(0).unwrap();
+        let mut ws = SimWorkspace::new();
+        let mut rng = StdRng::seed_from_u64(derive_seed(99, 1));
+        network
+            .simulate_with(
+                row,
+                coding.as_ref(),
+                &cfg,
+                noise.as_ref(),
+                &mut rng,
+                &mut ws,
+            )
+            .unwrap();
+        digest.extend((0..4).map(|_| rng.gen::<u32>()));
+        // Conv/pool probe: the `im2col` + kernel-transpose + matmul
+        // and pooling arms under the same coding, noise and ISA.
+        let mut conv_ws = SimWorkspace::new();
+        for sample in 0..2 {
+            let row = conv_inputs.row_slice(sample).unwrap();
+            let mut rng = StdRng::seed_from_u64(derive_seed(123, sample as u64));
+            let outcome = conv_net
+                .simulate_with(
+                    row,
+                    coding.as_ref(),
+                    &conv_cfg,
+                    noise.as_ref(),
+                    &mut rng,
+                    &mut conv_ws,
+                )
+                .unwrap();
+            digest.push(outcome.total_spikes as u32);
+            digest.extend(conv_ws.logits().iter().map(|v| v.to_bits()));
+        }
+        digest
+    };
+    // The whole grid, one pool task per combo.
+    let digest_all = |isa: SimdBackend, threads: usize| -> Vec<Vec<u32>> {
+        parallel_map(
+            &ParallelConfig::with_threads(threads),
+            &combos,
+            |_, combo| digest_combo(isa, combo),
+        )
     };
 
     let isas = available_backends();
     assert!(isas.contains(&SimdBackend::Scalar));
     let previous = set_backend(SimdBackend::Scalar);
-    let reference = digest_all(SimdBackend::Scalar);
+    let reference = digest_all(SimdBackend::Scalar, 1);
     assert!(reference.iter().all(|digest| !digest.is_empty()));
+    assert_eq!(
+        digest_all(SimdBackend::Scalar, 4),
+        reference,
+        "matrix digests differ across thread counts"
+    );
     for &isa in isas.iter().filter(|&&b| b != SimdBackend::Scalar) {
         assert_eq!(set_backend(isa), isa, "requested ISA must run unresolved");
-        let digest = digest_all(isa);
+        let digest = digest_all(isa, 1);
         for ((combo_digest, scalar_digest), &(kind, noise_name)) in
             digest.iter().zip(&reference).zip(&combos)
         {
