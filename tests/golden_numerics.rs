@@ -6,7 +6,8 @@
 //! moves every path in lockstep passes those silently; this suite catches
 //! it.  It simulates hand-built, seeded tiny MLP and CNN networks (no
 //! training) under all five codings × {clean, deletion 0.5 + weight
-//! scaling, jitter σ = 1.0} × 2 seeds and, per case, records a digest of
+//! scaling, jitter σ = 1.0, the composite of the two} × 3 seeds and, per
+//! case, records a digest of
 //! every logit bit, the transmitted spikes per layer and the argmax of each
 //! sample.  The fixture is ISA- and thread-independent, so the
 //! `NRSNN_SIMD=scalar|sse2` CI legs check it on every backend.
@@ -23,7 +24,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use nrsnn_noise::{DeletionNoise, JitterNoise, WeightScaling};
+use nrsnn_noise::{CompositeNoise, DeletionNoise, JitterNoise, WeightScaling};
 use nrsnn_runtime::derive_seed;
 use nrsnn_snn::{
     CodingConfig, CodingKind, IdentityTransform, SimWorkspace, SnnLayer, SnnNetwork, SpikeTransform,
@@ -38,9 +39,9 @@ const SAMPLES: usize = 4;
 /// layers, so one-spike TTFS rasters land on both sides of the decode
 /// tabulation switch.
 const TIME_STEPS: u32 = 32;
-/// The two seeds each (network, coding, noise) case runs under; a seed
-/// drives both the input samples and the per-sample noise streams.
-const SEEDS: [u64; 2] = [1, 2];
+/// The seeds each (network, coding, noise) case runs under; a seed drives
+/// both the input samples and the per-sample noise streams.
+const SEEDS: [u64; 3] = [1, 2, 3];
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/numerics.txt")
@@ -196,14 +197,18 @@ fn run_all() -> Vec<Case> {
     let scaling = WeightScaling::for_deletion_probability(deletion_p).expect("valid p");
     let deletion = DeletionNoise::new(deletion_p).expect("valid p");
     let jitter = JitterNoise::new(1.0).expect("valid sigma");
+    let composite = CompositeNoise::new()
+        .then(DeletionNoise::new(deletion_p).expect("valid p"))
+        .then(JitterNoise::new(1.0).expect("valid sigma"));
     let mut cases = Vec::new();
     for (name, clean) in [("mlp", mlp()), ("cnn", cnn())] {
         let mut scaled = clean.clone();
         scaling.apply(&mut scaled);
-        let noises: [(&str, &SnnNetwork, &dyn SpikeTransform); 3] = [
+        let noises: [(&str, &SnnNetwork, &dyn SpikeTransform); 4] = [
             ("clean", &clean, &IdentityTransform),
             ("deletion0.5+ws", &scaled, &deletion),
             ("jitter1.0", &clean, &jitter),
+            ("deletion0.5+ws>jitter1.0", &scaled, &composite),
         ];
         for kind in all_codings() {
             for &(noise_name, network, noise) in &noises {
