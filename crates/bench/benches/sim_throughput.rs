@@ -8,8 +8,8 @@
 //! seeds and are asserted to produce identical predictions and spike counts
 //! before any timing happens — the workspace path buys throughput, never
 //! different results.  The SIMD section applies the same discipline along
-//! the instruction-set axis: every available backend (scalar / SSE2 /
-//! AVX2) must produce **byte-equal logits** for every sample before it is
+//! the instruction-set axis: every available backend (scalar / AVX2) must
+//! produce **byte-equal logits** for every sample before it is
 //! timed.  On AVX2 hosts the dense forward pass AND the rate/phase
 //! end-to-end simulations must clear a 1.5x speedup floor over the
 //! forced-scalar kernels — the end-to-end floor became enforceable once

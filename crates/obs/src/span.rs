@@ -170,7 +170,7 @@ pub struct TraceRecord {
     pub end_ns: u64,
     /// Whether the request produced a successful reply.
     pub ok: bool,
-    /// Active SIMD backend name (`"scalar"`, `"sse2"`, `"avx2"`).
+    /// Active SIMD backend name (`"scalar"` or `"avx2"`).
     pub backend: &'static str,
     /// The per-stage breakdown, in chronological order.
     pub spans: Vec<Span>,

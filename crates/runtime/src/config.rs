@@ -14,9 +14,10 @@ pub const DEFAULT_BATCH_SIZE: usize = 8;
 /// parallelism; neither setting can change a single result bit, only
 /// throughput. They differ in one deliberate way: an unparsable
 /// `NRSNN_THREADS` falls through to hardware detection (a thread count is a
-/// tuning hint), while an unknown `NRSNN_SIMD` value is a typed error (a
-/// backend name is an enumerated contract, and a typo silently running
-/// scalar would be a 2x performance bug nobody notices).
+/// tuning hint), while any `NRSNN_SIMD` value other than `scalar`, `avx2`
+/// or `auto` — non-Unicode bytes included — is a typed error (a backend
+/// name is an enumerated contract, and a typo silently running scalar
+/// would be a 2x performance bug nobody notices).
 pub const THREADS_ENV_VAR: &str = "NRSNN_THREADS";
 
 /// How a parallel map distributes its tasks.

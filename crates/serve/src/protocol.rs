@@ -289,7 +289,7 @@ pub struct RequestTrace {
     /// Whether the request succeeded (failed requests are retained as
     /// outliers with an empty span list).
     pub ok: bool,
-    /// SIMD backend active on the worker (`scalar`, `sse2`, `avx2`).
+    /// SIMD backend active on the worker (`scalar` or `avx2`).
     pub backend: String,
     /// Per-stage breakdown tiling `start_ns..end_ns`.
     pub spans: Vec<TraceSpan>,

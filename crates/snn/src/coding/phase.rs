@@ -1,7 +1,7 @@
 //! Phase coding (weighted spikes).
 
 use nrsnn_tensor::simd::{
-    active_backend, phase_bits_value, phase_bits_with, phase_pow2_sum_with, sum8_by,
+    active_backend, phase_bits, phase_bits_value, phase_pow2_sum_with, sum8_by,
 };
 
 use crate::coding::CodingScratch;
@@ -253,8 +253,7 @@ impl NeuralCoding for PhaseCoding {
         self.fill_weight_tables(&mut scratch.weights, &mut scratch.thresholds);
         scratch.bits.clear();
         scratch.bits.resize(values.len(), 0);
-        phase_bits_with(
-            active_backend(),
+        phase_bits(
             values,
             cfg.threshold,
             &scratch.weights,

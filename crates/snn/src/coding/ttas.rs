@@ -151,9 +151,8 @@ impl NeuralCoding for TtasCoding {
         if train.is_empty() {
             return 0.0;
         }
-        // Canonical lane-blocked reduction (`sum8_by`) so this per-train
-        // path stays bit-identical to the SIMD-gathered tabulated path in
-        // `decode_into`, whichever backend runs it.
+        // Canonical lane-blocked reduction (`sum8_by`), the same sum the
+        // tabulated path in `decode_into` runs, so the two agree bitwise.
         let sum = nrsnn_tensor::simd::sum8_by(train.len(), |i| TtfsCoding::value_at(train[i], cfg));
         (self.scale_factor(cfg) * sum).min(cfg.threshold)
     }
@@ -176,22 +175,19 @@ impl NeuralCoding for TtasCoding {
         // exps into the reusable scratch) beats one exp per spike; each
         // table entry is computed by exactly the same expression as
         // `value_at`, so lookups are bit-identical to direct evaluation,
-        // and the SIMD-gathered table sum (`sum_gather_with`) reduces in
-        // the same canonical lane-blocked order as the `sum8_by` used by
-        // the direct path and `decode` — so all paths agree bitwise on
-        // every backend.
+        // and both paths reduce through the same `sum8_by` — so they
+        // agree bitwise on every backend.
         let tabulate = raster.total_spikes() > raster.num_steps() as usize;
         if tabulate {
             scratch.clear();
             scratch.extend((0..raster.num_steps()).map(|t| TtfsCoding::value_at(t, cfg)));
         }
-        let backend = nrsnn_tensor::simd::active_backend();
         out.extend(raster.iter().map(|(_, train)| {
             if train.is_empty() {
                 return 0.0;
             }
             let sum: f32 = if tabulate {
-                nrsnn_tensor::simd::sum_gather_with(backend, scratch, train)
+                nrsnn_tensor::simd::sum8_by(train.len(), |i| scratch[train[i] as usize])
             } else {
                 nrsnn_tensor::simd::sum8_by(train.len(), |i| TtfsCoding::value_at(train[i], cfg))
             };

@@ -51,6 +51,9 @@ fn codings() -> Vec<Box<dyn NeuralCoding>> {
         Box::new(RateCoding::new()),
         Box::new(PhaseCoding::new()),
         Box::new(PhaseCoding::with_period(4).unwrap()),
+        // Phases k >= 20 have a negative firing threshold `w_k - 1e-6`, so
+        // only the lane encode's silent-ratio guard keeps zero inputs quiet.
+        Box::new(PhaseCoding::with_period(32).unwrap()),
         Box::new(BurstCoding::new()),
         Box::new(BurstCoding::with_max_spikes(4).unwrap()),
         Box::new(TtfsCoding::new()),

@@ -38,7 +38,8 @@ pub enum TensorError {
     },
     /// A geometry parameter (kernel size, stride, padding) was invalid.
     InvalidGeometry(String),
-    /// The `NRSNN_SIMD` backend override held an unrecognised value (see
+    /// The `NRSNN_SIMD` backend override held an unrecognised value, or one
+    /// that is not valid Unicode, reported lossily (see
     /// [`crate::simd::parse_override`]).
     InvalidSimdOverride(String),
 }
@@ -64,7 +65,7 @@ impl fmt::Display for TensorError {
             TensorError::InvalidGeometry(msg) => write!(f, "invalid geometry: {msg}"),
             TensorError::InvalidSimdOverride(value) => write!(
                 f,
-                "invalid NRSNN_SIMD value {value:?}: expected scalar, sse2, avx2 or auto"
+                "invalid NRSNN_SIMD value {value:?}: expected scalar, avx2 or auto"
             ),
         }
     }

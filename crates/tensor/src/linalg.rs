@@ -16,7 +16,7 @@
 //! [`crate::simd::active_backend`].  The reductions follow the canonical
 //! lane-blocked order documented there (ascending 8-wide column blocks,
 //! fixed lane tree, sequential tail), which is **the same bits on every
-//! backend** — scalar, SSE2 or AVX2.
+//! backend** — scalar or AVX2.
 
 use crate::simd::{self, active_backend};
 use crate::{Result, Tensor, TensorError};

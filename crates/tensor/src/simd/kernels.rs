@@ -13,8 +13,8 @@
 //! All functions in this module are `unsafe`: they index through raw
 //! pointers and trust the slice-length / index-bounds contracts that the
 //! safe dispatch wrappers in [`super`] assert before calling in, and the
-//! x86 instantiations additionally require the matching CPU features
-//! (guaranteed by runtime dispatch).
+//! AVX2 instantiation additionally requires the CPU feature (guaranteed by
+//! runtime dispatch).
 
 use super::vec::{F32x8, BLOCK};
 
@@ -174,40 +174,6 @@ pub(crate) unsafe fn matmul_generic<V: F32x8>(
     }
 }
 
-/// Sums `table[idx]` over every index in `idx`, in the canonical
-/// lane-blocked order: 8-wide gather blocks accumulate into lanes, the
-/// lanes reduce through the fixed tree, and the tail indices are added
-/// sequentially.  This is the vector form of [`super::sum8_by`] — the two
-/// must stay in lockstep.
-///
-/// # Safety
-/// Every `idx` value must be `< table.len()` and `table.len()` must fit in
-/// `i32` (the AVX2 gather treats indices as signed); the backend `V` must
-/// be runnable on this CPU.
-#[inline(always)]
-pub(crate) unsafe fn sum_gather_generic<V: F32x8>(table: &[f32], idx: &[u32]) -> f32 {
-    let n = idx.len();
-    let nb = n - (n % BLOCK);
-    let ip = idx.as_ptr();
-    // SAFETY: register-only lane op; the backend is runnable per dispatch.
-    let mut acc = unsafe { V::zero() };
-    let mut b = 0usize;
-    while b < nb {
-        // SAFETY: `b + 8 <= nb <= idx.len()` and every index is `< table.len()`
-        // per this fn's contract, so the gather stays inside `table`.
-        let g = unsafe { V::gather(table, ip.add(b)) };
-        // SAFETY: register-only lane op; the backend is runnable per dispatch.
-        acc = unsafe { acc.add(g) };
-        b += BLOCK;
-    }
-    // SAFETY: register-only lane op; the backend is runnable per dispatch.
-    let mut s = unsafe { acc.reduce() };
-    for &t in &idx[nb..] {
-        s += table[t as usize];
-    }
-    s
-}
-
 /// Normalised clamp used by every coding's encode path: `out[i] =
 /// min(max(x[i], 0), θ) / θ` with the canonical x86 `max`/`min` semantics
 /// (see [`F32x8::max`]) — the lane-blocked twin of [`super::clamp_ratio`],
@@ -333,79 +299,6 @@ pub(crate) unsafe fn scale_ratio_generic<V: F32x8>(io: &mut [f32], mul: f32, div
     for j in nb..n {
         // SAFETY: tail `j < n == io.len()`.
         unsafe { *p.add(j) = *p.add(j) * mul / div };
-    }
-}
-
-/// Phase-coding bit patterns, 8 neurons per block: for each input the
-/// greedy binary expansion of `min(max(x, 0), θ)/θ` over the per-phase
-/// weights `w_k = 2^-(k+1)` — bit `k` of `out[i]` is set iff phase `k`
-/// fires in every period.  The lane-blocked twin of
-/// [`super::phase_bits_value`], which the tail calls.
-///
-/// Per weight the lanes run one ordered `rem ≥ thresholds[k]` compare, a
-/// masked subtract (`rem −= mask & w_k`; false lanes subtract `+0.0`, a
-/// bitwise no-op since `rem` is never `-0.0` on this path), and a
-/// `movemask` whose bit `l` lands in bit `k` of lane `l`'s pattern — the
-/// exact per-value greedy loop, eight neurons at a time.
-///
-/// Inputs that clamp to a ratio `≤ 0.0` are forced silent (pattern 0) —
-/// this matters because `thresholds[k] = w_k − 1e-6` goes *negative* once
-/// `w_k < 1e-6` (`k ≥ 20`), at which point a zero remainder would fire
-/// every remaining phase.  The per-value reference implements the same
-/// guard as an early return.
-///
-/// # Safety
-/// Requires `bits.len() == x.len()` and `weights.len() == thresholds.len()
-/// <= 64` (patterns accumulate in a `u64`); the backend `V` must be
-/// runnable on this CPU.
-#[inline(always)]
-pub(crate) unsafe fn phase_bits_generic<V: F32x8>(
-    x: &[f32],
-    threshold: f32,
-    weights: &[f32],
-    thresholds: &[f32],
-    bits: &mut [u64],
-) {
-    debug_assert_eq!(bits.len(), x.len());
-    debug_assert_eq!(weights.len(), thresholds.len());
-    debug_assert!(weights.len() <= 64);
-    let n = x.len();
-    let nb = n - (n % BLOCK);
-    let xp = x.as_ptr();
-    // SAFETY: register-only lane op; the backend is runnable per dispatch.
-    let zero = unsafe { V::zero() };
-    // SAFETY: register-only lane op; the backend is runnable per dispatch.
-    let theta = unsafe { V::splat(threshold) };
-    let mut i = 0usize;
-    while i < nb {
-        // SAFETY: `i + 8 <= nb <= n == x.len()` — the block is inside `x`.
-        let v = unsafe { V::load(xp.add(i)) };
-        // SAFETY: register-only lane op; the backend is runnable per dispatch.
-        let ratio = unsafe { v.max(zero).min(theta).div(theta) };
-        // Lanes whose ratio <= 0.0 must produce pattern 0 (see above).
-        // SAFETY: register-only lane op; the backend is runnable per dispatch.
-        let silent = unsafe { zero.cmp_ge(ratio).movemask() };
-        let mut rem = ratio;
-        let mut lane_bits = [0u64; BLOCK];
-        for (k, (&w, &th)) in weights.iter().zip(thresholds).enumerate() {
-            // SAFETY: register-only lane op; the backend is runnable per dispatch.
-            let fire = unsafe { rem.cmp_ge(V::splat(th)) };
-            // SAFETY: register-only lane op; the backend is runnable per dispatch.
-            rem = unsafe { rem.sub(fire.and(V::splat(w))) };
-            // SAFETY: register-only lane op; the backend is runnable per dispatch.
-            let m = unsafe { fire.movemask() };
-            for (l, lb) in lane_bits.iter_mut().enumerate() {
-                *lb |= (((m >> l) & 1) as u64) << k;
-            }
-        }
-        for (l, lb) in lane_bits.iter().enumerate() {
-            bits[i + l] = if silent & (1 << l) != 0 { 0 } else { *lb };
-        }
-        i += BLOCK;
-    }
-    for (j, b) in bits.iter_mut().enumerate().skip(nb) {
-        // SAFETY: tail `j < n == x.len()`; the helper only reads the value.
-        *b = unsafe { super::phase_bits_value(*xp.add(j), threshold, weights, thresholds) };
     }
 }
 
@@ -544,10 +437,8 @@ pub(crate) fn phase_pow2_sum_scalar(train: &[u32], mask: u32) -> u64 {
 }
 
 /// AVX2 form of [`phase_pow2_sum_scalar`]: eight spikes per iteration via
-/// the variable per-lane shift (`vpsllvd`, the instruction that makes this
-/// kernel AVX2-only — SSE2 has no per-lane shift counts and runs the
-/// scalar form instead), each `u32` power widened to a `u64` lane before
-/// accumulation so the vector sums cannot wrap.
+/// the variable per-lane shift (`vpsllvd`), each `u32` power widened to a
+/// `u64` lane before accumulation so the vector sums cannot wrap.
 ///
 /// # Safety
 /// Requires AVX2 (callers dispatch through the resolved backend) and

@@ -1,17 +1,22 @@
 //! Runtime-dispatched SIMD kernels, bit-identical across backends.
 //!
-//! Every hot slice kernel in the workspace (mat-vec, mat-mul,
-//! `im2col` unrolling and the tabulated exp-PSC sum used by TTAS decoding)
-//! is written **once** as a generic lane-blocked algorithm over an 8-lane
-//! vector abstraction (`vec::F32x8`) and instantiated per ISA:
+//! Every hot slice kernel in the workspace (mat-vec, mat-mul, `im2col`
+//! unrolling and the lane-wise coding heads) is written **once** as a
+//! generic lane-blocked algorithm over an 8-lane vector abstraction
+//! (`vec::F32x8`) and instantiated per ISA:
 //!
 //! * **scalar** — portable `[f32; 8]` emulation, compiled on every target;
-//! * **sse2** — two `__m128` halves (baseline on `x86_64`);
+//!   the reference semantics;
 //! * **avx2** — one `__m256`, selected behind one-time runtime detection.
 //!
+//! Hand-written intrinsics stay only where they measurably beat the
+//! portable code.  The phase-coding bit patterns ([`phase_bits`]) and the
+//! tabulated exp-PSC sums of the TTFS/TTAS decodes ([`sum8_by`]) run
+//! portable safe code on every backend, because the AVX2 forms lost to it.
+//!
 //! Because the block width, per-lane IEEE operations (no FMA) and the
-//! lane-reduction tree are fixed independently of the ISA, all three
-//! backends produce **byte-identical** results — the property the
+//! lane-reduction tree are fixed independently of the ISA, both backends
+//! produce **byte-identical** results — the property the
 //! workspace-wide bit-identity matrix in `tests/workspace_bit_identity.rs`
 //! and `crates/tensor/tests/simd_kernel_proptest.rs` enforce.
 //!
@@ -21,14 +26,14 @@
 //! (`NRSNN_SIMD`) environment variable — mirroring how `NRSNN_THREADS`
 //! selects sweep parallelism:
 //!
-//! * `auto` (or unset) — best available backend: AVX2, else SSE2, else scalar;
-//! * `scalar` / `sse2` / `avx2` — request that backend explicitly;
-//! * anything else — a typed [`TensorError::InvalidSimdOverride`] from
-//!   [`resolve_env`] (and a panic from [`active_backend`], which has no way
-//!   to return it).
+//! * `auto` (or unset) — best available backend: AVX2, else scalar;
+//! * `scalar` / `avx2` — request that backend explicitly;
+//! * anything else, including a value that is not valid Unicode — a typed
+//!   [`TensorError::InvalidSimdOverride`] from [`resolve_env`] (and a panic
+//!   from [`active_backend`], which has no way to return it).
 //!
 //! Requesting an ISA the CPU lacks is **not** an error: the request degrades
-//! along the documented fallback chain `avx2 → sse2 → scalar` (see
+//! along the documented fallback chain `avx2 → scalar` (see
 //! [`SimdBackend::resolve`]). This keeps one exported `NRSNN_SIMD=avx2`
 //! setting usable across heterogeneous machines; forcing the portable path
 //! with `NRSNN_SIMD=scalar` always works everywhere.
@@ -42,7 +47,7 @@ use crate::{Conv2dGeometry, TensorError};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Environment variable that overrides SIMD backend selection
-/// (`scalar`/`sse2`/`avx2`/`auto`). See the [module docs](self) for the
+/// (`scalar`/`avx2`/`auto`). See the [module docs](self) for the
 /// exact semantics; the parallelism analogue is
 /// `nrsnn_runtime::THREADS_ENV_VAR` (`NRSNN_THREADS`).
 pub const SIMD_ENV_VAR: &str = "NRSNN_SIMD";
@@ -55,8 +60,6 @@ pub const SIMD_ENV_VAR: &str = "NRSNN_SIMD";
 pub enum SimdBackend {
     /// Portable scalar emulation of the 8-lane machine; always available.
     Scalar,
-    /// SSE2 (two 128-bit halves); baseline on `x86_64`.
-    Sse2,
     /// AVX2 (one 256-bit register); detected at runtime.
     Avx2,
 }
@@ -66,21 +69,19 @@ impl SimdBackend {
     pub fn name(self) -> &'static str {
         match self {
             SimdBackend::Scalar => "scalar",
-            SimdBackend::Sse2 => "sse2",
             SimdBackend::Avx2 => "avx2",
         }
     }
 
     /// Whether this backend can run on the current CPU.
     ///
-    /// [`SimdBackend::Scalar`] is always available; the x86 backends
-    /// require both `target_arch = "x86_64"` and the runtime CPUID check.
+    /// [`SimdBackend::Scalar`] is always available; AVX2 requires both
+    /// `target_arch = "x86_64"` and the runtime CPUID check.
     pub fn is_available(self) -> bool {
         #[cfg(target_arch = "x86_64")]
         {
             match self {
                 SimdBackend::Scalar => true,
-                SimdBackend::Sse2 => std::arch::is_x86_feature_detected!("sse2"),
                 SimdBackend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             }
         }
@@ -90,9 +91,8 @@ impl SimdBackend {
         }
     }
 
-    /// Applies the fallback rule against the actual CPU: the widest
-    /// available backend at or below `self` in the chain
-    /// `avx2 → sse2 → scalar`.
+    /// Applies the fallback rule against the actual CPU: `self` if it is
+    /// available, else the end of the chain `avx2 → scalar`.
     ///
     /// Never fails — `scalar` terminates the chain on every platform. Which
     /// backend runs a kernel is unobservable from the results (they are
@@ -104,26 +104,20 @@ impl SimdBackend {
 
 /// The pure fallback rule behind [`SimdBackend::resolve`], parameterised
 /// over an availability predicate so every combination is unit-testable
-/// without controlling the host CPU: walk down `avx2 → sse2 → scalar` from
-/// `requested` and return the first backend for which `available` holds
-/// (`scalar` is returned unconditionally as the chain's terminal).
+/// without controlling the host CPU: `requested` if `available` holds for
+/// it, else `scalar` (returned unconditionally as the chain's terminal).
 pub fn resolve_with(
     requested: SimdBackend,
     available: impl Fn(SimdBackend) -> bool,
 ) -> SimdBackend {
-    let mut backend = requested;
-    loop {
-        if backend == SimdBackend::Scalar || available(backend) {
-            return backend;
-        }
-        backend = match backend {
-            SimdBackend::Avx2 => SimdBackend::Sse2,
-            _ => SimdBackend::Scalar,
-        };
+    if requested == SimdBackend::Scalar || available(requested) {
+        requested
+    } else {
+        SimdBackend::Scalar
     }
 }
 
-/// The widest backend available on this CPU (`avx2 → sse2 → scalar`).
+/// The widest backend available on this CPU (`avx2 → scalar`).
 pub fn detect_best() -> SimdBackend {
     SimdBackend::Avx2.resolve()
 }
@@ -132,7 +126,7 @@ pub fn detect_best() -> SimdBackend {
 /// [`SimdBackend::Scalar`]). Test matrices iterate this to cover every ISA
 /// the host can actually run.
 pub fn available_backends() -> Vec<SimdBackend> {
-    [SimdBackend::Scalar, SimdBackend::Sse2, SimdBackend::Avx2]
+    [SimdBackend::Scalar, SimdBackend::Avx2]
         .into_iter()
         .filter(|b| b.is_available())
         .collect()
@@ -148,12 +142,11 @@ pub fn available_backends() -> Vec<SimdBackend> {
 ///
 /// # Errors
 /// [`TensorError::InvalidSimdOverride`] if the value is not one of
-/// `scalar`, `sse2`, `avx2`, `auto`.
+/// `scalar`, `avx2`, `auto`.
 pub fn parse_override(value: &str) -> crate::Result<Option<SimdBackend>> {
     match value.trim().to_ascii_lowercase().as_str() {
         "auto" => Ok(None),
         "scalar" => Ok(Some(SimdBackend::Scalar)),
-        "sse2" => Ok(Some(SimdBackend::Sse2)),
         "avx2" => Ok(Some(SimdBackend::Avx2)),
         _ => Err(TensorError::InvalidSimdOverride(value.trim().to_string())),
     }
@@ -169,14 +162,22 @@ pub fn parse_override(value: &str) -> crate::Result<Option<SimdBackend>> {
 ///
 /// # Errors
 /// [`TensorError::InvalidSimdOverride`] if the variable is set to an
-/// unknown value.
+/// unknown value or to one that is not valid Unicode.
 pub fn resolve_env() -> crate::Result<SimdBackend> {
-    match std::env::var(SIMD_ENV_VAR) {
-        Ok(value) => Ok(match parse_override(&value)? {
-            Some(requested) => requested.resolve(),
-            None => detect_best(),
-        }),
-        Err(_) => Ok(detect_best()),
+    resolve_env_value(std::env::var(SIMD_ENV_VAR))
+}
+
+/// The pure rule behind [`resolve_env`], over the raw result of reading
+/// the variable: unset means auto; a set value — Unicode or not — must
+/// parse, so a non-UTF-8 value is an error (reported lossily) rather than
+/// a silent auto.
+fn resolve_env_value(var: Result<String, std::env::VarError>) -> crate::Result<SimdBackend> {
+    match var {
+        Err(std::env::VarError::NotPresent) => Ok(detect_best()),
+        Err(std::env::VarError::NotUnicode(raw)) => Err(TensorError::InvalidSimdOverride(
+            raw.to_string_lossy().into_owned(),
+        )),
+        Ok(value) => Ok(parse_override(&value)?.map_or_else(detect_best, SimdBackend::resolve)),
     }
 }
 
@@ -190,16 +191,14 @@ static ACTIVE: AtomicU8 = AtomicU8::new(0);
 fn backend_code(b: SimdBackend) -> u8 {
     match b {
         SimdBackend::Scalar => 1,
-        SimdBackend::Sse2 => 2,
-        SimdBackend::Avx2 => 3,
+        SimdBackend::Avx2 => 2,
     }
 }
 
 fn backend_from_code(code: u8) -> Option<SimdBackend> {
     match code {
         1 => Some(SimdBackend::Scalar),
-        2 => Some(SimdBackend::Sse2),
-        3 => Some(SimdBackend::Avx2),
+        2 => Some(SimdBackend::Avx2),
         _ => None,
     }
 }
@@ -241,137 +240,95 @@ pub fn set_backend(requested: SimdBackend) -> SimdBackend {
 }
 
 #[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! `#[target_feature]` entry points per ISA.  The generic kernels are
-    //! `#[inline(always)]`, so they inline into these wrappers and compile
-    //! with the wrapper's feature set — the standard one-generic-kernel /
-    //! per-ISA-monomorphisation pattern.
+mod avx2 {
+    //! `#[target_feature(enable = "avx2")]` entry points.  The generic
+    //! kernels are `#[inline(always)]`, so they inline into these wrappers
+    //! and compile with the wrapper's feature set — the standard
+    //! one-generic-kernel / per-ISA-monomorphisation pattern.
 
-    macro_rules! isa_entry_points {
-        ($feature:literal, $vty:ty) => {
-            use crate::simd::kernels;
+    use crate::simd::kernels;
+    use crate::simd::vec::Avx2V;
 
-            // SAFETY: thin per-ISA wrapper; callers must uphold the generic
-            // kernel's `# Safety` contract, forwarded verbatim.
-            #[target_feature(enable = $feature)]
-            pub(crate) unsafe fn matvec(
-                a: &[f32],
-                m: usize,
-                n: usize,
-                x: &[f32],
-                bias: &[f32],
-                out: &mut [f32],
-            ) {
-                // SAFETY: same contract as the callee; the `target_feature`
-                // gate matches the instantiated backend's ISA.
-                unsafe { kernels::matvec_generic::<$vty>(a, m, n, x, bias, out) }
-            }
-
-            // SAFETY: thin per-ISA wrapper; callers must uphold the generic
-            // kernel's `# Safety` contract, forwarded verbatim.
-            #[target_feature(enable = $feature)]
-            #[allow(clippy::too_many_arguments)]
-            pub(crate) unsafe fn matmul(
-                a: &[f32],
-                m: usize,
-                k: usize,
-                b: &[f32],
-                n: usize,
-                bias: &[f32],
-                out: &mut [f32],
-            ) {
-                // SAFETY: same contract as the callee; the `target_feature`
-                // gate matches the instantiated backend's ISA.
-                unsafe { kernels::matmul_generic::<$vty>(a, m, k, b, n, bias, out) }
-            }
-
-            // SAFETY: thin per-ISA wrapper; callers must uphold the generic
-            // kernel's `# Safety` contract, forwarded verbatim.
-            #[target_feature(enable = $feature)]
-            pub(crate) unsafe fn sum_gather(table: &[f32], idx: &[u32]) -> f32 {
-                // SAFETY: same contract as the callee; the `target_feature`
-                // gate matches the instantiated backend's ISA.
-                unsafe { kernels::sum_gather_generic::<$vty>(table, idx) }
-            }
-
-            // SAFETY: thin per-ISA wrapper; callers must uphold the generic
-            // kernel's `# Safety` contract, forwarded verbatim.
-            #[target_feature(enable = $feature)]
-            pub(crate) unsafe fn encode_ratio(x: &[f32], threshold: f32, out: &mut [f32]) {
-                // SAFETY: same contract as the callee; the `target_feature`
-                // gate matches the instantiated backend's ISA.
-                unsafe { kernels::encode_ratio_generic::<$vty>(x, threshold, out) }
-            }
-
-            // SAFETY: thin per-ISA wrapper; callers must uphold the generic
-            // kernel's `# Safety` contract, forwarded verbatim.
-            #[target_feature(enable = $feature)]
-            pub(crate) unsafe fn encode_quant(
-                x: &[f32],
-                threshold: f32,
-                scale: f32,
-                out: &mut [f32],
-            ) {
-                // SAFETY: same contract as the callee; the `target_feature`
-                // gate matches the instantiated backend's ISA.
-                unsafe { kernels::encode_quant_generic::<$vty>(x, threshold, scale, out) }
-            }
-
-            // SAFETY: thin per-ISA wrapper; callers must uphold the generic
-            // kernel's `# Safety` contract, forwarded verbatim.
-            #[target_feature(enable = $feature)]
-            pub(crate) unsafe fn scale_ratio(io: &mut [f32], mul: f32, div: f32) {
-                // SAFETY: same contract as the callee; the `target_feature`
-                // gate matches the instantiated backend's ISA.
-                unsafe { kernels::scale_ratio_generic::<$vty>(io, mul, div) }
-            }
-
-            // SAFETY: thin per-ISA wrapper; callers must uphold the generic
-            // kernel's `# Safety` contract, forwarded verbatim.
-            #[target_feature(enable = $feature)]
-            pub(crate) unsafe fn phase_bits(
-                x: &[f32],
-                threshold: f32,
-                weights: &[f32],
-                thresholds: &[f32],
-                bits: &mut [u64],
-            ) {
-                // SAFETY: same contract as the callee; the `target_feature`
-                // gate matches the instantiated backend's ISA.
-                unsafe {
-                    kernels::phase_bits_generic::<$vty>(x, threshold, weights, thresholds, bits)
-                }
-            }
-
-            // SAFETY: thin per-ISA wrapper; callers must uphold the generic
-            // kernel's `# Safety` contract, forwarded verbatim.
-            #[target_feature(enable = $feature)]
-            #[allow(clippy::too_many_arguments)]
-            pub(crate) unsafe fn im2col(
-                x: &[f32],
-                c: usize,
-                h: usize,
-                w: usize,
-                k: usize,
-                s: usize,
-                p: usize,
-                oh: usize,
-                ow: usize,
-                out: &mut [f32],
-            ) {
-                // SAFETY: same contract as the callee; the `target_feature`
-                // gate matches the instantiated backend's ISA.
-                unsafe { kernels::im2col_generic::<$vty>(x, c, h, w, k, s, p, oh, ow, out) }
-            }
-        };
+    // SAFETY: thin per-ISA wrapper; callers must uphold the generic
+    // kernel's `# Safety` contract, forwarded verbatim.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn matvec(
+        a: &[f32],
+        m: usize,
+        n: usize,
+        x: &[f32],
+        bias: &[f32],
+        out: &mut [f32],
+    ) {
+        // SAFETY: same contract as the callee; the `target_feature`
+        // gate matches the instantiated backend's ISA.
+        unsafe { kernels::matvec_generic::<Avx2V>(a, m, n, x, bias, out) }
     }
 
-    pub(crate) mod sse2 {
-        isa_entry_points!("sse2", crate::simd::vec::Sse2V);
+    // SAFETY: thin per-ISA wrapper; callers must uphold the generic
+    // kernel's `# Safety` contract, forwarded verbatim.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn matmul(
+        a: &[f32],
+        m: usize,
+        k: usize,
+        b: &[f32],
+        n: usize,
+        bias: &[f32],
+        out: &mut [f32],
+    ) {
+        // SAFETY: same contract as the callee; the `target_feature`
+        // gate matches the instantiated backend's ISA.
+        unsafe { kernels::matmul_generic::<Avx2V>(a, m, k, b, n, bias, out) }
     }
 
-    pub(crate) mod avx2 {
-        isa_entry_points!("avx2", crate::simd::vec::Avx2V);
+    // SAFETY: thin per-ISA wrapper; callers must uphold the generic
+    // kernel's `# Safety` contract, forwarded verbatim.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn encode_ratio(x: &[f32], threshold: f32, out: &mut [f32]) {
+        // SAFETY: same contract as the callee; the `target_feature`
+        // gate matches the instantiated backend's ISA.
+        unsafe { kernels::encode_ratio_generic::<Avx2V>(x, threshold, out) }
+    }
+
+    // SAFETY: thin per-ISA wrapper; callers must uphold the generic
+    // kernel's `# Safety` contract, forwarded verbatim.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn encode_quant(x: &[f32], threshold: f32, scale: f32, out: &mut [f32]) {
+        // SAFETY: same contract as the callee; the `target_feature`
+        // gate matches the instantiated backend's ISA.
+        unsafe { kernels::encode_quant_generic::<Avx2V>(x, threshold, scale, out) }
+    }
+
+    // SAFETY: thin per-ISA wrapper; callers must uphold the generic
+    // kernel's `# Safety` contract, forwarded verbatim.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn scale_ratio(io: &mut [f32], mul: f32, div: f32) {
+        // SAFETY: same contract as the callee; the `target_feature`
+        // gate matches the instantiated backend's ISA.
+        unsafe { kernels::scale_ratio_generic::<Avx2V>(io, mul, div) }
+    }
+
+    // SAFETY: thin per-ISA wrapper; callers must uphold the generic
+    // kernel's `# Safety` contract, forwarded verbatim.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn im2col(
+        x: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        k: usize,
+        s: usize,
+        p: usize,
+        oh: usize,
+        ow: usize,
+        out: &mut [f32],
+    ) {
+        // SAFETY: same contract as the callee; the `target_feature`
+        // gate matches the instantiated backend's ISA.
+        unsafe { kernels::im2col_generic::<Avx2V>(x, c, h, w, k, s, p, oh, ow, out) }
     }
 }
 
@@ -387,13 +344,9 @@ macro_rules! dispatch {
             // site asserted the kernel's slice contracts (macro doc above).
             SimdBackend::Scalar => unsafe { kernels::$generic::<vec::ScalarV>($($arg),*) },
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: resolve() returned Sse2, so the ISA is present; slice
-            // contracts asserted at the expansion site.
-            SimdBackend::Sse2 => unsafe { x86::sse2::$isa_fn($($arg),*) },
-            #[cfg(target_arch = "x86_64")]
             // SAFETY: resolve() returned Avx2, so the ISA is present; slice
             // contracts asserted at the expansion site.
-            SimdBackend::Avx2 => unsafe { x86::avx2::$isa_fn($($arg),*) },
+            SimdBackend::Avx2 => unsafe { avx2::$isa_fn($($arg),*) },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("resolve() returns Scalar on non-x86_64"),
         }
@@ -523,26 +476,6 @@ pub fn im2col_slices_with(backend: SimdBackend, x: &[f32], geom: &Conv2dGeometry
     )
 }
 
-/// Sums `table[idx]` over `idx` on an explicit backend, in the canonical
-/// lane-blocked order — the vector twin of [`sum8_by`] (the SNN crate's
-/// tabulated exp-PSC decode routes through this).
-///
-/// # Panics
-/// If any index is out of bounds for `table`, or `table.len()` exceeds
-/// `i32::MAX` (the AVX2 gather reads indices as signed `i32`). Real
-/// assertions, see [`matvec_slices_with`].
-pub fn sum_gather_with(backend: SimdBackend, table: &[f32], idx: &[u32]) -> f32 {
-    assert!(
-        table.len() <= i32::MAX as usize,
-        "sum_gather: table too large for i32 gather indices"
-    );
-    assert!(
-        idx.iter().all(|&t| (t as usize) < table.len()),
-        "sum_gather: index out of range"
-    );
-    dispatch!(backend, sum_gather_generic::sum_gather(table, idx))
-}
-
 /// Exact integer phase-weight sum on an explicit backend: for each spike
 /// time `t`, accumulates `2^(!t & mask)` into a `u64` — with a
 /// power-of-two phase period `mask + 1`, that term is `2^(period-1-phase)`,
@@ -552,8 +485,7 @@ pub fn sum_gather_with(backend: SimdBackend, table: &[f32], idx: &[u32]) -> f32 
 /// Unlike the float reductions, this kernel needs no canonical lane order:
 /// integer addition is exact and associative, so every backend is free to
 /// pick its own accumulation shape (four scalar accumulators, or eight
-/// `vpsllvd` lanes on AVX2) and still produce the identical `u64`.  SSE2
-/// has no per-lane variable shift and runs the scalar form.
+/// `vpsllvd` lanes on AVX2) and still produce the identical `u64`.
 ///
 /// # Panics
 /// If `mask + 1` is not a power of two or `mask >= 32` (the shift-count
@@ -628,19 +560,25 @@ pub fn scale_ratio_with(backend: SimdBackend, io: &mut [f32], mul: f32, div: f32
     dispatch!(backend, scale_ratio_generic::scale_ratio(io, mul, div))
 }
 
-/// Lane-wise phase-coding bit patterns on an explicit backend: bit `k` of
-/// `bits[i]` is set iff phase `k` of every period fires for input `x[i]` —
-/// the lane-blocked form of [`phase_bits_value`] (greedy binary expansion
-/// of the clamped ratio over `weights`, firing where the remainder clears
-/// `thresholds`).  The phase coding computes each neuron's pattern once
-/// here, then replays it across periods in a scalar tail.
+/// Lane-wise phase-coding bit patterns: bit `k` of `bits[i]` is set iff
+/// phase `k` of every period fires for input `x[i]` — the lane-blocked
+/// form of [`phase_bits_value`] (greedy binary expansion of the clamped
+/// ratio over `weights`, firing where the remainder clears `thresholds`).
+/// The phase coding computes each neuron's pattern once here, then replays
+/// it across periods in a scalar tail.
+///
+/// Portable safe code on every backend (hand-written AVX2 lost to it).
+/// Per weight, each of the 8 lanes of a block runs one ordered `rem ≥
+/// thresholds[k]` compare and subtracts `w_k` where it fires or `+0.0`
+/// where it does not — a bitwise no-op, so every lane follows the exact
+/// per-value greedy loop.  Lanes whose ratio is `≤ 0.0` are forced silent,
+/// the same guard [`phase_bits_value`] applies as an early return.
 ///
 /// # Panics
 /// If `bits.len() != x.len()`, `threshold` is not strictly positive, or
 /// `weights`/`thresholds` lengths differ or exceed 64 (patterns accumulate
-/// in a `u64`). Real assertions, see [`matvec_slices_with`].
-pub fn phase_bits_with(
-    backend: SimdBackend,
+/// in a `u64`).
+pub fn phase_bits(
     x: &[f32],
     threshold: f32,
     weights: &[f32],
@@ -655,10 +593,33 @@ pub fn phase_bits_with(
         "phase_bits: weights.len() != thresholds.len()"
     );
     assert!(weights.len() <= 64, "phase_bits: more than 64 phases");
-    dispatch!(
-        backend,
-        phase_bits_generic::phase_bits(x, threshold, weights, thresholds, bits)
-    )
+    let mut x_blocks = x.chunks_exact(BLOCK);
+    let mut bit_blocks = bits.chunks_exact_mut(BLOCK);
+    for (xb, bb) in (&mut x_blocks).zip(&mut bit_blocks) {
+        let mut ratio = [0.0f32; BLOCK];
+        for (r, &v) in ratio.iter_mut().zip(xb) {
+            *r = clamp_ratio(v, threshold);
+        }
+        let mut rem = ratio;
+        let mut lane_bits = [0u64; BLOCK];
+        for (k, (&w, &th)) in weights.iter().zip(thresholds).enumerate() {
+            for (r, lb) in rem.iter_mut().zip(&mut lane_bits) {
+                let fire = *r >= th;
+                *r -= if fire { w } else { 0.0 };
+                *lb |= u64::from(fire) << k;
+            }
+        }
+        for ((b, &r), &lb) in bb.iter_mut().zip(&ratio).zip(&lane_bits) {
+            *b = if r <= 0.0 { 0 } else { lb };
+        }
+    }
+    for (b, &v) in bit_blocks
+        .into_remainder()
+        .iter_mut()
+        .zip(x_blocks.remainder())
+    {
+        *b = phase_bits_value(v, threshold, weights, thresholds);
+    }
 }
 
 /// The canonical lane maximum: `if a > b { a } else { b }` — the exact
@@ -700,8 +661,8 @@ pub fn clamp_ratio(x: f32, threshold: f32) -> f32 {
 /// ≥ 0.5 ? 1.0 : 0.0)`.  Equals `f32::round` for every finite `y ≥ 0`
 /// (half-up and half-away-from-zero coincide there), but is built only
 /// from operations the 8-lane machine has (truncation, subtract, ordered
-/// compare, masked add) — SSE2 has no rounding instruction — so lanes and
-/// scalar agree bitwise by construction: `y − trunc(y)` is exact for
+/// compare, masked add), so lanes and scalar agree bitwise by
+/// construction: `y − trunc(y)` is exact for
 /// finite `y ≥ 0`, and every other step is a single correctly rounded op.
 #[inline(always)]
 pub fn round_half_up_nonneg(y: f32) -> f32 {
@@ -724,7 +685,7 @@ pub fn quantize_value(x: f32, threshold: f32, scale: f32) -> f32 {
 /// are silent (pattern 0) — the guard matters because `thresholds[k] =
 /// w_k − 1e-6` goes negative once `w_k < 1e-6`, at which point a zero
 /// remainder would fire every remaining phase.  The per-value reference of
-/// [`phase_bits_with`].
+/// [`phase_bits`].
 #[inline(always)]
 pub fn phase_bits_value(x: f32, threshold: f32, weights: &[f32], thresholds: &[f32]) -> u64 {
     debug_assert_eq!(weights.len(), thresholds.len());
@@ -750,9 +711,10 @@ pub fn phase_bits_value(x: f32, threshold: f32, weights: &[f32], thresholds: &[f
 /// and the `n % 8` tail adds sequentially.
 ///
 /// This is the *scalar reference* for every lane-blocked reduction in the
-/// workspace — [`sum_gather_with`] and the mat-vec kernels produce exactly
-/// these bits — and is what non-tabulated decode paths use so that
-/// tabulated and per-train decodes stay bitwise interchangeable.
+/// workspace — the mat-vec kernels produce exactly these bits — and the
+/// one sum every TTFS/TTAS decode uses, tabulated (`term` is a table
+/// lookup) or per train (`term` evaluates the PSC kernel), so the two
+/// decode paths stay bitwise interchangeable.
 pub fn sum8_by(n: usize, mut term: impl FnMut(usize) -> f32) -> f32 {
     let nb = n - (n % BLOCK);
     let mut lanes = [0.0f32; BLOCK];
@@ -778,7 +740,6 @@ mod tests {
     fn parse_override_accepts_known_values() {
         assert_eq!(parse_override("auto").unwrap(), None);
         assert_eq!(parse_override("scalar").unwrap(), Some(SimdBackend::Scalar));
-        assert_eq!(parse_override("sse2").unwrap(), Some(SimdBackend::Sse2));
         assert_eq!(parse_override("avx2").unwrap(), Some(SimdBackend::Avx2));
         // Case-insensitive, whitespace-tolerant — same lenience as the
         // NRSNN_THREADS parser applies to numbers.
@@ -788,7 +749,7 @@ mod tests {
 
     #[test]
     fn parse_override_rejects_unknown_values_with_typed_error() {
-        for bad in ["", "avx512", "fastest", "1", "sse", "scalar,avx2"] {
+        for bad in ["", "avx512", "fastest", "1", "sse", "sse2", "scalar,avx2"] {
             match parse_override(bad) {
                 Err(TensorError::InvalidSimdOverride(v)) => assert_eq!(v, bad.trim()),
                 other => panic!("expected InvalidSimdOverride for {bad:?}, got {other:?}"),
@@ -798,28 +759,39 @@ mod tests {
 
     #[test]
     fn fallback_rule_walks_down_the_chain() {
-        use SimdBackend::{Avx2, Scalar, Sse2};
-        // Exhaustive over the 4 availability combos (scalar is always
-        // available by definition and never consulted).
-        for (sse2_ok, avx2_ok) in [(false, false), (true, false), (false, true), (true, true)] {
-            let avail = |b: SimdBackend| match b {
-                Scalar => true,
-                Sse2 => sse2_ok,
-                Avx2 => avx2_ok,
-            };
+        use SimdBackend::{Avx2, Scalar};
+        // Exhaustive over AVX2 availability (scalar is always available by
+        // definition and never consulted).
+        for avx2_ok in [false, true] {
+            let avail = |b: SimdBackend| b == Scalar || avx2_ok;
             assert_eq!(resolve_with(Scalar, avail), Scalar);
             assert_eq!(
-                resolve_with(Sse2, avail),
-                if sse2_ok { Sse2 } else { Scalar }
+                resolve_with(Avx2, avail),
+                if avx2_ok { Avx2 } else { Scalar }
             );
-            let expect_avx2 = if avx2_ok {
-                Avx2
-            } else if sse2_ok {
-                Sse2
-            } else {
-                Scalar
-            };
-            assert_eq!(resolve_with(Avx2, avail), expect_avx2);
+        }
+    }
+
+    #[test]
+    fn unset_env_is_auto_and_non_unicode_env_is_a_typed_error() {
+        use std::env::VarError;
+        assert_eq!(
+            resolve_env_value(Err(VarError::NotPresent)).unwrap(),
+            detect_best()
+        );
+        assert_eq!(resolve_env_value(Ok("auto".into())).unwrap(), detect_best());
+        assert_eq!(
+            resolve_env_value(Ok("scalar".into())).unwrap(),
+            SimdBackend::Scalar
+        );
+        #[cfg(unix)]
+        {
+            use std::os::unix::ffi::OsStringExt;
+            let raw = std::ffi::OsString::from_vec(b"avx\xff2".to_vec());
+            match resolve_env_value(Err(VarError::NotUnicode(raw))) {
+                Err(TensorError::InvalidSimdOverride(v)) => assert_eq!(v, "avx\u{fffd}2"),
+                other => panic!("expected InvalidSimdOverride, got {other:?}"),
+            }
         }
     }
 
@@ -854,7 +826,7 @@ mod tests {
 
     #[test]
     fn backend_codes_round_trip() {
-        for b in [SimdBackend::Scalar, SimdBackend::Sse2, SimdBackend::Avx2] {
+        for b in [SimdBackend::Scalar, SimdBackend::Avx2] {
             assert_eq!(backend_from_code(backend_code(b)), Some(b));
         }
         assert_eq!(backend_from_code(0), None);
@@ -862,23 +834,8 @@ mod tests {
 
     #[test]
     fn names_round_trip_through_parse() {
-        for b in [SimdBackend::Scalar, SimdBackend::Sse2, SimdBackend::Avx2] {
+        for b in [SimdBackend::Scalar, SimdBackend::Avx2] {
             assert_eq!(parse_override(b.name()).unwrap(), Some(b));
-        }
-    }
-
-    #[test]
-    fn sum8_by_matches_sum_gather_on_every_backend() {
-        let table: Vec<f32> = (0..23).map(|i| (i as f32 * 0.37 - 3.0).exp()).collect();
-        let idx: Vec<u32> = (0..23).rev().map(|i| i % 23).collect();
-        let reference = sum8_by(idx.len(), |i| table[idx[i] as usize]);
-        for backend in available_backends() {
-            let got = sum_gather_with(backend, &table, &idx);
-            assert_eq!(
-                got.to_bits(),
-                reference.to_bits(),
-                "sum_gather({backend:?}) != sum8_by"
-            );
         }
     }
 

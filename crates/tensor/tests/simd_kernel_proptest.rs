@@ -11,7 +11,7 @@
 
 use nrsnn_tensor::simd::{
     available_backends, im2col_slices_with, matmul_slices_with, matmul_sparse_slices_with,
-    matvec_bias_slices_with, matvec_slices_with, sum8_by, sum_gather_with, SimdBackend,
+    matvec_bias_slices_with, matvec_slices_with, SimdBackend,
 };
 use nrsnn_tensor::{
     im2col_into, matmul_into, matmul_sparse_into, matvec_into, Conv2dGeometry, Tensor, TensorError,
@@ -43,17 +43,6 @@ const SPECIAL: &[f32] = &[
 
 fn draw_shape(rng: &mut TestRng) -> usize {
     SHAPES[rng.gen_range(0..SHAPES.len())]
-}
-
-/// Nonzero shape (for dimensions the kernels require to be positive, like
-/// matrix row counts fed through `Tensor::from_vec`).
-fn draw_shape_nz(rng: &mut TestRng) -> usize {
-    loop {
-        let s = draw_shape(rng);
-        if s != 0 {
-            return s;
-        }
-    }
 }
 
 /// Draws a value: half the time an adversarial special, half an ordinary
@@ -196,28 +185,6 @@ fn im2col_every_isa_matches_scalar_bitwise() {
             let mut out = vec![f32::NAN; len];
             im2col_slices_with(isa, &x, &geom, &mut out);
             assert_eq!(bits(&out), bits(&reference), "{isa:?} geom {geom:?}");
-        }
-    }
-}
-
-#[test]
-fn sum_gather_every_isa_matches_sum8_by_bitwise() {
-    let mut rng = rng_for("sum_gather_every_isa_matches_sum8_by_bitwise");
-    for _ in 0..CASES {
-        let table_len = draw_shape_nz(&mut rng);
-        let table = draw_vec(&mut rng, table_len, false);
-        let idx_len = draw_shape(&mut rng);
-        let idx: Vec<u32> = (0..idx_len)
-            .map(|_| rng.gen_range(0..table_len) as u32)
-            .collect();
-        let reference = sum8_by(idx.len(), |i| table[idx[i] as usize]);
-        for backend in available_backends() {
-            let got = sum_gather_with(backend, &table, &idx);
-            assert_eq!(
-                got.to_bits(),
-                reference.to_bits(),
-                "{backend:?} table_len={table_len} idx_len={idx_len}"
-            );
         }
     }
 }

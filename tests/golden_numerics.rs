@@ -9,8 +9,9 @@
 //! scaling, jitter σ = 1.0, the composite of the two} × 3 seeds and, per
 //! case, records a digest of
 //! every logit bit, the transmitted spikes per layer and the argmax of each
-//! sample.  The fixture is ISA- and thread-independent, so the
-//! `NRSNN_SIMD=scalar|sse2` CI legs check it on every backend.
+//! sample.  The fixture is ISA- and thread-independent, so the default
+//! (auto-detected) and `NRSNN_SIMD=scalar` CI legs check it on both
+//! backends.
 //!
 //! If this test fails:
 //!
