@@ -16,7 +16,10 @@
 //! the coding layer itself went lane-blocked, removing the scalar
 //! encode/decode term from Amdahl's denominator.  A third section times
 //! the coding layer in isolation: per-coding, per-ISA encode-only and
-//! decode-only rows, equality-gated train-for-train before timing.
+//! decode-only rows, equality-gated train-for-train before timing.  A
+//! fourth section is the noise ledger: nanoseconds per input spike of
+//! deletion and jitter `apply_into` on rate- and TTAS(5)-coded 784-wide
+//! rasters, each gated on equality with the allocating `apply`.
 //!
 //! ```text
 //! cargo bench -p nrsnn-bench --bench sim_throughput
@@ -28,8 +31,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nrsnn::prelude::*;
 use nrsnn_bench::{bench_sweep_config, cifar10_pipeline, mnist_pipeline, record_bench_summary};
 use nrsnn_runtime::derive_seed;
-use nrsnn_snn::{CodingScratch, SpikeRaster};
-use nrsnn_tensor::simd::{available_backends, set_backend, SimdBackend};
+use nrsnn_snn::{CodingScratch, SpikeRaster, SpikeTransform};
+use nrsnn_tensor::simd::{active_backend, available_backends, set_backend, SimdBackend};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,6 +44,9 @@ const SIMD_MIN_TIME_S: f64 = 0.25;
 /// Measurement windows per timed (workload x backend) cell; the best
 /// window wins (see [`best_rates`]).
 const SIMD_REPEATS: usize = 3;
+/// Window length of the noise ledger's input rasters (the perfbench sweeps'
+/// `T`).
+const NOISE_STEPS: u32 = 128;
 
 /// Best-of-[`SIMD_REPEATS`] throughput per backend, with the measurement
 /// windows interleaved round-robin across backends.  Each window runs `f`
@@ -487,9 +493,73 @@ fn coding_micro_report(
     }
 }
 
+/// Noise-layer ledger: ns per input spike of `DeletionNoise(0.5)` and
+/// `JitterNoise(2.0)` `apply_into` on rate- and TTAS(5)-coded rasters of the
+/// MLP's 784-wide input rows at `T = 128`.  Each model is first gated on
+/// `apply_into` reproducing `apply` raster-for-raster and RNG-state-for-
+/// RNG-state; timing is best-of-[`SIMD_REPEATS`] windows.
+fn noise_throughput_report() {
+    let pipeline = mnist_pipeline();
+    let inputs = &pipeline.dataset().test.inputs;
+    let deletion = DeletionNoise::new(0.5).expect("deletion");
+    let jitter = JitterNoise::new(2.0).expect("jitter");
+    let models: [(&str, &dyn SpikeTransform); 2] = [("deletion", &deletion), ("jitter", &jitter)];
+    let mut entries: Vec<(String, f64)> = Vec::new();
+    println!("\n==== Noise layer (784-wide rasters, T = {NOISE_STEPS}, apply_into) ====");
+    println!(
+        "{:<10}{:<10}{:>16}{:>14}",
+        "coding", "noise", "spikes/raster", "ns/spike"
+    );
+    for kind in [CodingKind::Rate, CodingKind::Ttas(5)] {
+        let coding = kind.build();
+        let cfg = pipeline.coding_config(kind, NOISE_STEPS);
+        let key = kind.label().to_lowercase().replace(['(', ')'], "");
+        let mut scratch = CodingScratch::new();
+        let rasters: Vec<SpikeRaster> = (0..SAMPLES)
+            .map(|s| {
+                let mut raster = SpikeRaster::new(0, 1);
+                let row = inputs.row_slice(s).expect("row");
+                coding.encode_raster_into(row, &cfg, &mut raster, &mut scratch);
+                raster
+            })
+            .collect();
+        let spikes: usize = rasters.iter().map(SpikeRaster::total_spikes).sum();
+        let mut out = SpikeRaster::new(0, 1);
+        for (name, noise) in models {
+            for (sample, raster) in rasters.iter().enumerate() {
+                let mut rng_ref = StdRng::seed_from_u64(derive_seed(SEED, sample as u64));
+                let mut rng = rng_ref.clone();
+                let reference = noise.apply(raster, &mut rng_ref);
+                noise.apply_into(raster, &mut out, &mut rng);
+                assert_eq!(out, reference, "{name} on {key}: apply_into diverged");
+                assert_eq!(rng, rng_ref, "{name} on {key}: RNG streams diverged");
+            }
+            let mut rng = StdRng::seed_from_u64(SEED);
+            let spikes_per_s = best_rates(&[active_backend()], spikes, || {
+                for raster in &rasters {
+                    noise.apply_into(raster, &mut out, &mut rng);
+                    black_box(&out);
+                }
+            })[0]
+                .1;
+            let ns_per_spike = 1e9 / spikes_per_s;
+            let per_raster = spikes as f64 / SAMPLES as f64;
+            println!("{key:<10}{name:<10}{per_raster:>16.1}{ns_per_spike:>14.2}");
+            entries.push((format!("{name}_{key}_ns_per_spike"), ns_per_spike));
+        }
+        entries.push((
+            format!("{key}_spikes_per_raster"),
+            spikes as f64 / SAMPLES as f64,
+        ));
+    }
+    let borrowed: Vec<(&str, f64)> = entries.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    record_bench_summary("noise_throughput", &borrowed);
+}
+
 fn bench(c: &mut Criterion) {
     let w = workload();
     throughput_report(&w);
+    noise_throughput_report();
     simd_throughput_report();
 
     let mut group = c.benchmark_group("sim_throughput");

@@ -122,6 +122,28 @@ fn ttas_with_ws_beats_ttfs_with_ws_under_heavy_deletion() {
 }
 
 #[test]
+fn ttas_beats_ttfs_under_jitter() {
+    // Fig. 6: TTAS spreads a value over several spikes, so a shifted first
+    // spike moves its decoded value less than TTFS's single spike.  Same
+    // settings as the deletion ordering above, jitter instead of deletion.
+    let pipeline = tiny_pipeline(4);
+    let noise = JitterNoise::new(3.0).expect("noise");
+    let ws = WeightScaling::none();
+    let ttfs = pipeline
+        .evaluate_snn(CodingKind::Ttfs, 96, &noise, &ws, 40, 11)
+        .expect("ttfs");
+    let ttas = pipeline
+        .evaluate_snn(CodingKind::Ttas(5), 96, &noise, &ws, 40, 11)
+        .expect("ttas");
+    assert!(
+        ttas.accuracy >= ttfs.accuracy,
+        "TTAS(5) {} should be at least as robust as TTFS {} under σ=3 jitter",
+        ttas.accuracy,
+        ttfs.accuracy
+    );
+}
+
+#[test]
 fn rate_coding_is_unaffected_by_jitter_while_phase_degrades() {
     // Fig. 3's two extremes.
     let pipeline = tiny_pipeline(5);
