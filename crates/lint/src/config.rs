@@ -84,7 +84,7 @@ pub const CRATES: &[CrateSpec] = &[
         name: "nrsnn-noise",
         dir: "crates/noise",
         deps: &["nrsnn-tensor", "nrsnn-snn", "rand", "serde"],
-        dev_deps: &["nrsnn-runtime"],
+        dev_deps: &["nrsnn-runtime", "proptest"],
     },
     CrateSpec {
         name: "nrsnn",
