@@ -1,22 +1,44 @@
 //! Spike-jitter noise.
 
-use rand::{Rng, RngCore};
+use std::fmt;
+
+use rand::RngCore;
 
 use nrsnn_snn::{SpikeRaster, SpikeTransform};
 
 use crate::{NoiseError, Result};
 
-/// Spike-time jitter: every spike time is shifted by a zero-mean Gaussian
-/// with standard deviation `σ`, quantised to integer time steps and clamped
-/// to the window (the paper's jitter model, §III).
+/// `2^53`: the number of distinct 53-bit uniform draws `next_u64() >> 11`.
+const UNIT: f64 = (1u64 << 53) as f64;
+
+/// Half-width of the shift table in units of `σ`: shifts beyond `8.5σ`
+/// have probability below `2^-53`, the resolution of one draw.
+const TABLE_SIGMAS: f64 = 8.5;
+
+/// Longest window, in time steps, that jitter writes through its on-stack
+/// bitmap (`BITMAP_STEPS / 64` words).  Longer windows store the shifted
+/// times and leave sort-and-merge to the raster's normalisation.
+const BITMAP_STEPS: u32 = 1024;
+
+/// Spike-time jitter: every spike time is shifted by `round(σ·Z)` with
+/// `Z ~ N(0, 1)` — a zero-mean Gaussian of standard deviation `σ`
+/// quantised to integer time steps — and clamped to the window (the
+/// paper's jitter model, §III).
 ///
 /// Jitter corrupts *when* spikes arrive rather than destroying them, so
 /// codings that read out timing (phase, TTFS) suffer while rate coding is
 /// largely untouched.  Spikes are binary events, though: two spikes of one
 /// neuron that collide on the same time step after shifting-and-clamping
-/// merge into a single spike (enforced by the raster's normalisation), so
-/// heavy jitter near the window edges can reduce the spike count — the
-/// train, its count, and every decode stay mutually consistent.
+/// merge into a single spike, so heavy jitter near the window edges can
+/// reduce the spike count — the train, its count, and every decode stay
+/// mutually consistent.
+///
+/// The quantised shift is sampled exactly by inverse CDF: [`JitterNoise::new`]
+/// tabulates `cut_k = ⌊Φ((k+½)/σ)·2^53⌋` for `k ∈ [−K, K)`,
+/// `K = ⌈8.5σ⌉ + 1`, and each spike draws one RNG word `w` and takes the
+/// shift `k` whose cell `[cut_{k−1}, cut_k)` holds `w >> 11`.  A cell's
+/// probability is the Gaussian mass of `((k−½)/σ, (k+½)/σ)` to within
+/// `2e-15`; the per-spike path calls no libm function.
 ///
 /// ```
 /// use nrsnn_noise::JitterNoise;
@@ -34,25 +56,65 @@ use crate::{NoiseError, Result};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct JitterNoise {
     sigma: f64,
+    /// `K`: shifts are confined to `[−K, K]`.
+    radius: i64,
+    /// `cut_k` for `k = −K … K−1` (index `k + K`), non-decreasing.  Empty
+    /// at `σ = 0`, which is the identity and draws nothing.
+    cuts: Box<[u64]>,
 }
 
 impl JitterNoise {
+    /// Largest accepted `σ`, in time steps.  The shift table holds
+    /// `2·(⌈8.5σ⌉ + 1)` words, about 136 KiB at this bound; far larger
+    /// values (say, read from a model file) would ask for an unbounded
+    /// allocation, and already clamp nearly every spike of any practical
+    /// window to its edges.
+    pub const MAX_SIGMA: f64 = 1024.0;
+
     /// Creates a jitter model with standard deviation `sigma` (in time
-    /// steps).
+    /// steps) and tabulates its shift distribution.
     ///
     /// # Errors
     /// Returns [`NoiseError::InvalidParameter`] for negative or non-finite
-    /// values.
+    /// values and for values above [`JitterNoise::MAX_SIGMA`].
     pub fn new(sigma: f64) -> Result<Self> {
         if !sigma.is_finite() || sigma < 0.0 {
             return Err(NoiseError::InvalidParameter(format!(
                 "jitter sigma must be a non-negative finite number, got {sigma}"
             )));
         }
-        Ok(JitterNoise { sigma })
+        if sigma > Self::MAX_SIGMA {
+            return Err(NoiseError::InvalidParameter(format!(
+                "jitter sigma must be at most {}, got {sigma}",
+                Self::MAX_SIGMA
+            )));
+        }
+        if sigma == 0.0 {
+            return Ok(JitterNoise {
+                sigma,
+                radius: 0,
+                cuts: Box::default(),
+            });
+        }
+        let radius = (TABLE_SIGMAS * sigma).ceil() as i64 + 1;
+        // A running maximum keeps the table sorted where rounding could
+        // invert neighbours in the far tail (cells far below 2^-53).
+        let mut floor = 0u64;
+        let cuts = (-radius..radius)
+            .map(|k| {
+                let phi = normal_cdf((k as f64 + 0.5) / sigma);
+                floor = floor.max(((phi * UNIT).floor() as u64).min(1 << 53));
+                floor
+            })
+            .collect();
+        Ok(JitterNoise {
+            sigma,
+            radius,
+            cuts,
+        })
     }
 
     /// The configured standard deviation.
@@ -60,11 +122,87 @@ impl JitterNoise {
         self.sigma
     }
 
-    fn gaussian(rng: &mut dyn RngCore) -> f64 {
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    /// One quantised shift from one RNG word: the number of cuts at or
+    /// below the draw's top 53 bits, re-centred on zero.
+    fn shift(&self, rng: &mut dyn RngCore) -> i64 {
+        let draw = rng.next_u64() >> 11;
+        self.cuts.partition_point(|&cut| cut <= draw) as i64 - self.radius
     }
+
+    /// Jitters one train in place, one RNG word per spike in spike order —
+    /// the single kernel behind `apply`, `apply_into` and `apply_in_place`.
+    ///
+    /// Windows up to [`BITMAP_STEPS`] set each shifted time in an on-stack
+    /// bitmap and read it back in ascending order, which sorts and merges
+    /// colliding spikes with no scratch buffer; the train is cleared in
+    /// between, so it never needs more than its own capacity.  Longer
+    /// windows store the shifted times for the caller's normalisation.
+    fn jitter_train(&self, train: &mut Vec<u32>, num_steps: u32, rng: &mut dyn RngCore) {
+        let max_t = i64::from(num_steps.saturating_sub(1));
+        let mut shifted = |t: u32| (i64::from(t) + self.shift(rng)).clamp(0, max_t) as u32;
+        if num_steps > BITMAP_STEPS {
+            for t in train.iter_mut() {
+                *t = shifted(*t);
+            }
+            return;
+        }
+        let mut bitmap = [0u64; (BITMAP_STEPS / 64) as usize];
+        for &t in train.iter() {
+            let s = shifted(t);
+            bitmap[(s >> 6) as usize] |= 1 << (s & 63);
+        }
+        train.clear();
+        let words = (max_t >> 6) as usize + 1;
+        for (base, &word) in (0u32..).step_by(64).zip(&bitmap[..words]) {
+            let mut word = word;
+            while word != 0 {
+                train.push(base | word.trailing_zeros());
+                word &= word - 1;
+            }
+        }
+    }
+}
+
+impl fmt::Debug for JitterNoise {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The shift table is derived from σ; printing it would only bury σ.
+        f.debug_struct("JitterNoise")
+            .field("sigma", &self.sigma)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The standard normal CDF `Φ(x) = ½(1 + erf(x/√2))`.
+fn normal_cdf(x: f64) -> f64 {
+    let half_erf = 0.5 * erf(x.abs() * std::f64::consts::FRAC_1_SQRT_2);
+    if x < 0.0 {
+        0.5 - half_erf
+    } else {
+        0.5 + half_erf
+    }
+}
+
+/// `erf(y)` for `y ≥ 0` from the all-positive series
+/// `erf(y) = (2/√π)·e^{−y²}·Σ_n (2y²)ⁿ·y / (1·3·…·(2n+1))`: no cancellation,
+/// and `Φ` stays within `1e-15` absolute (8 units of `2^-53`) of a reference
+/// `erfc` over `[−9, 9]`.  The rounded
+/// square enters both `e^{−y²}` and the series, whose dependences on it
+/// cancel to first order.
+fn erf(y: f64) -> f64 {
+    if y >= 8.0 {
+        // erfc(8) < 1e-29: indistinguishable from 1 at 2^-53 resolution.
+        return 1.0;
+    }
+    let y2 = y * y;
+    let mut term = y;
+    let mut sum = y;
+    let mut n = 0.0;
+    while term > sum * f64::EPSILON * 0.25 {
+        n += 1.0;
+        term *= 2.0 * y2 / (2.0 * n + 1.0);
+        sum += term;
+    }
+    std::f64::consts::FRAC_2_SQRT_PI * (-y2).exp() * sum
 }
 
 impl SpikeTransform for JitterNoise {
@@ -72,21 +210,14 @@ impl SpikeTransform for JitterNoise {
         if self.sigma == 0.0 {
             return raster.clone();
         }
-        let max_t = raster.num_steps().saturating_sub(1) as i64;
+        let num_steps = raster.num_steps();
         raster.map_trains(|_, train| {
             // Silent neurons draw no randomness and need no work — under
             // sparse temporal codings most trains are empty, so the
             // transform's cost tracks the active set, not the layer width.
-            if train.is_empty() {
-                return Vec::new();
-            }
-            train
-                .iter()
-                .map(|&t| {
-                    let shift = (Self::gaussian(rng) * self.sigma).round() as i64;
-                    (t as i64 + shift).clamp(0, max_t) as u32
-                })
-                .collect()
+            let mut shifted = train.to_vec();
+            self.jitter_train(&mut shifted, num_steps, rng);
+            shifted
         })
     }
 
@@ -95,17 +226,10 @@ impl SpikeTransform for JitterNoise {
             out.copy_from(raster);
             return;
         }
-        let max_t = raster.num_steps().saturating_sub(1) as i64;
-        // Same neuron order and two RNG draws per spike, exactly as `apply`;
-        // empty trains are skipped outright (they draw nothing).
+        let num_steps = raster.num_steps();
         raster.map_trains_into(out, |_, train, shifted| {
-            if train.is_empty() {
-                return;
-            }
-            shifted.extend(train.iter().map(|&t| {
-                let shift = (Self::gaussian(rng) * self.sigma).round() as i64;
-                (t as i64 + shift).clamp(0, max_t) as u32
-            }));
+            shifted.extend_from_slice(train);
+            self.jitter_train(shifted, num_steps, rng);
         });
     }
 
@@ -113,16 +237,8 @@ impl SpikeTransform for JitterNoise {
         if self.sigma == 0.0 {
             return;
         }
-        let max_t = raster.num_steps().saturating_sub(1) as i64;
-        // Two RNG draws per spike in spike order, exactly as `apply`;
-        // `update_trains` re-normalises each train like `set_train` does
-        // (sort + merge colliding spikes), and skips empty trains.
-        raster.update_trains(|_, train| {
-            for t in train.iter_mut() {
-                let shift = (Self::gaussian(rng) * self.sigma).round() as i64;
-                *t = (*t as i64 + shift).clamp(0, max_t) as u32;
-            }
-        });
+        let num_steps = raster.num_steps();
+        raster.update_trains(|_, train| self.jitter_train(train, num_steps, rng));
     }
 
     fn is_identity(&self) -> bool {
@@ -146,6 +262,154 @@ mod tests {
         assert!(JitterNoise::new(f64::NAN).is_err());
         assert!(JitterNoise::new(f64::INFINITY).is_err());
         assert!(JitterNoise::new(0.0).is_ok());
+    }
+
+    #[test]
+    fn sigma_above_the_bound_is_rejected_instead_of_tabulated() {
+        let largest = JitterNoise::new(JitterNoise::MAX_SIGMA).unwrap();
+        assert_eq!(largest.cuts.len(), 2 * (8704 + 1));
+        for sigma in [JitterNoise::MAX_SIGMA * (1.0 + f64::EPSILON), 1e6, 1e300] {
+            assert!(
+                matches!(
+                    JitterNoise::new(sigma),
+                    Err(NoiseError::InvalidParameter(_))
+                ),
+                "sigma {sigma}"
+            );
+        }
+    }
+
+    /// `(cut_k − cut_{k−1}) / 2^53`, the probability of shift `k`.
+    fn cell_probability(noise: &JitterNoise, k: i64) -> f64 {
+        let index = (k + noise.radius) as usize;
+        let upper = noise.cuts.get(index).copied().unwrap_or(1 << 53);
+        let lower = index.checked_sub(1).map_or(0, |i| noise.cuts[i]);
+        (upper - lower) as f64 / UNIT
+    }
+
+    #[test]
+    fn cell_probabilities_match_hand_listed_normal_masses() {
+        // (σ, k, Φ((k−½)/σ), Φ((k+½)/σ)), listed from a reference erfc.
+        const CELLS: [(f64, i64, f64, f64); 16] = [
+            (0.5, 0, 0.15865525393145707, 0.8413447460685429), // Φ(-1), Φ(1)
+            (0.5, 1, 0.8413447460685429, 0.9986501019683699),  // Φ(1), Φ(3)
+            (0.5, 2, 0.9986501019683699, 0.9999997133484281),  // Φ(3), Φ(5)
+            (0.5, 3, 0.9999997133484281, 0.9999999999987201),  // Φ(5), Φ(7)
+            (1.0, 0, 0.3085375387259869, 0.6914624612740131),  // Φ(-0.5), Φ(0.5)
+            (1.0, 1, 0.6914624612740131, 0.9331927987311419),  // Φ(0.5), Φ(1.5)
+            (1.0, 2, 0.9331927987311419, 0.9937903346742238),  // Φ(1.5), Φ(2.5)
+            (1.0, 3, 0.9937903346742238, 0.9997673709209645),  // Φ(2.5), Φ(3.5)
+            (4.0, 0, 0.4502617751698871, 0.5497382248301129),  // Φ(-0.125), Φ(0.125)
+            (4.0, 1, 0.5497382248301129, 0.6461697666727237),  // Φ(0.125), Φ(0.375)
+            (4.0, 2, 0.6461697666727237, 0.7340144709512995),  // Φ(0.375), Φ(0.625)
+            (4.0, 8, 0.9696036382347386, 0.9832066935515512),  // Φ(1.875), Φ(2.125)
+            (40.0, 0, 0.49501335135596203, 0.504986648644038), // Φ(-0.0125), Φ(0.0125)
+            (40.0, 1, 0.504986648644038, 0.5149568299259097),  // Φ(0.0125), Φ(0.0375)
+            (40.0, 40, 0.8383012085427143, 0.8443504766532315), // Φ(0.9875), Φ(1.0125)
+            (40.0, 80, 0.9765664920471818, 0.9779163716597449), // Φ(1.9875), Φ(2.0125)
+        ];
+        for (sigma, k, phi_lo, phi_hi) in CELLS {
+            let noise = JitterNoise::new(sigma).unwrap();
+            let expected = phi_hi - phi_lo;
+            // The Gaussian is symmetric: shift −k is as likely as k.
+            for shift in [k, -k] {
+                let got = cell_probability(&noise, shift);
+                assert!(
+                    (got - expected).abs() < 1e-12,
+                    "sigma {sigma} shift {shift}: {got} vs {expected}"
+                );
+            }
+        }
+        // The cells partition the unit interval, and the two edge cells
+        // (which absorb the tails beyond ±K) are below one draw in 2^52.
+        for sigma in [0.5, 1.0, 4.0, 40.0] {
+            let noise = JitterNoise::new(sigma).unwrap();
+            let total: f64 = (-noise.radius..=noise.radius)
+                .map(|k| cell_probability(&noise, k))
+                .sum();
+            assert!((total - 1.0).abs() < 1e-12, "sigma {sigma}: {total}");
+            assert!(noise.cuts.windows(2).all(|w| w[0] <= w[1]));
+            assert!(cell_probability(&noise, -noise.radius) <= 2.0 / UNIT);
+            assert!(cell_probability(&noise, noise.radius) <= 2.0 / UNIT);
+        }
+    }
+
+    /// Every spike time shifted by its own draw, clamped, then sorted and
+    /// merged: the oracle for both of the kernel's branches.
+    fn shift_sort_merge(
+        noise: &JitterNoise,
+        raster: &SpikeRaster,
+        rng: &mut dyn RngCore,
+    ) -> Vec<Vec<u32>> {
+        let max_t = i64::from(raster.num_steps() - 1);
+        raster
+            .iter()
+            .map(|(_, train)| {
+                let mut out: Vec<u32> = train
+                    .iter()
+                    .map(|&t| (i64::from(t) + noise.shift(rng)).clamp(0, max_t) as u32)
+                    .collect();
+                out.sort_unstable();
+                out.dedup();
+                out
+            })
+            .collect()
+    }
+
+    #[test]
+    fn apply_paths_agree_on_both_sides_of_the_bitmap_window() {
+        for steps in [64u32, 128, 1024, 1025] {
+            let last = steps - 1;
+            let raster = SpikeRaster::from_trains(
+                vec![
+                    (0..steps).step_by(3).collect(),
+                    vec![0, 1, last - 1, last],
+                    vec![],
+                    vec![steps / 2],
+                    (0..steps).collect(),
+                ],
+                steps,
+            );
+            for sigma in [0.5, 2.0, 40.0] {
+                let noise = JitterNoise::new(sigma).unwrap();
+                let seed = u64::from(steps) ^ sigma.to_bits();
+                let mut rng_apply = StdRng::seed_from_u64(seed);
+                let mut rng_into = rng_apply.clone();
+                let mut rng_in_place = rng_apply.clone();
+                let mut rng_oracle = rng_apply.clone();
+
+                let applied = noise.apply(&raster, &mut rng_apply);
+                let mut into = SpikeRaster::new(3, 7); // wrong shape: must be reset
+                noise.apply_into(&raster, &mut into, &mut rng_into);
+                let mut in_place = raster.clone();
+                noise.apply_in_place(&mut in_place, &mut rng_in_place);
+                let oracle = shift_sort_merge(&noise, &raster, &mut rng_oracle);
+
+                let label = format!("T {steps} sigma {sigma}");
+                assert_eq!(into, applied, "{label}");
+                assert_eq!(in_place, applied, "{label}");
+                for (n, train) in applied.iter() {
+                    assert_eq!(train, oracle[n].as_slice(), "{label} neuron {n}");
+                }
+                assert_eq!(rng_into, rng_apply, "{label}");
+                assert_eq!(rng_in_place, rng_apply, "{label}");
+                assert_eq!(rng_oracle, rng_apply, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn jitter_stream_is_one_word_per_spike() {
+        let raster = SpikeRaster::from_trains(vec![(0..40).collect(), vec![], vec![3, 9]], 48);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut words = rng.clone();
+        JitterNoise::new(1.5)
+            .unwrap()
+            .apply_in_place(&mut raster.clone(), &mut rng);
+        for _ in 0..raster.total_spikes() {
+            words.next_u64();
+        }
+        assert_eq!(rng, words);
     }
 
     #[test]

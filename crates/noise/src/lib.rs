@@ -12,6 +12,11 @@
 //!   zero-mean Gaussian with standard deviation `σ`, quantised to integer
 //!   time steps.
 //!
+//! Both draw exactly one RNG word per spike, in neuron then spike order.
+//! Deletion compares the word's top 53 bits against an integer cut
+//! `⌈p·2^53⌉`; jitter looks them up in a table of quantised-Gaussian cuts
+//! built once per model, so neither calls a libm function per spike.
+//!
 //! Both implement the [`SpikeTransform`](nrsnn_snn::SpikeTransform) hook of
 //! `nrsnn-snn`, so they can be
 //! injected into every layer-to-layer raster during simulation, and both can

@@ -185,4 +185,28 @@ mod tests {
         ));
         assert!(registry.load_json("{oops").is_err());
     }
+
+    #[test]
+    fn oversized_jitter_sigma_in_a_model_file_is_a_typed_error() {
+        // σ sizes the jitter shift table, so a hostile model file must be
+        // refused at load time rather than attempt an unbounded allocation.
+        for noise in [
+            NoiseSpec::Jitter(2.5),
+            NoiseSpec::Composite(vec![NoiseSpec::Deletion(0.1), NoiseSpec::Jitter(2.5)]),
+        ] {
+            let mut spec = toy_model("huge-sigma").to_spec();
+            spec.noise = noise;
+            let json = spec.to_json().replace("\"sigma\":2.5", "\"sigma\":1e300");
+            assert!(json.contains("1e300"), "{json}");
+            let binary = ModelSpec::from_json(&json).unwrap().to_binary().unwrap();
+            let mut registry = ModelRegistry::new();
+            for loaded in [registry.load_json(&json), registry.load_binary(&binary)] {
+                match loaded {
+                    Err(ServeError::Model(msg)) => assert!(msg.contains("sigma"), "{msg}"),
+                    other => panic!("expected a typed model error, got {other:?}"),
+                }
+            }
+            assert!(registry.is_empty());
+        }
+    }
 }
