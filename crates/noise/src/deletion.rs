@@ -4,10 +4,7 @@ use rand::RngCore;
 
 use nrsnn_snn::{SpikeRaster, SpikeTransform};
 
-use crate::{NoiseError, Result};
-
-/// `2^53`: the number of distinct 53-bit uniform draws `next_u64() >> 11`.
-const UNIT: f64 = (1u64 << 53) as f64;
+use crate::{NoiseError, Result, UNIT};
 
 /// Independent per-spike deletion: every transmitted spike is dropped with
 /// probability `p` (the paper's deletion model, §III).

@@ -6,10 +6,7 @@ use rand::RngCore;
 
 use nrsnn_snn::{SpikeRaster, SpikeTransform};
 
-use crate::{NoiseError, Result};
-
-/// `2^53`: the number of distinct 53-bit uniform draws `next_u64() >> 11`.
-const UNIT: f64 = (1u64 << 53) as f64;
+use crate::{NoiseError, Result, UNIT};
 
 /// Half-width of the shift table in units of `σ`: shifts beyond `8.5σ`
 /// have probability below `2^-53`, the resolution of one draw.
@@ -138,6 +135,9 @@ impl JitterNoise {
     /// between, so it never needs more than its own capacity.  Longer
     /// windows store the shifted times for the caller's normalisation.
     fn jitter_train(&self, train: &mut Vec<u32>, num_steps: u32, rng: &mut dyn RngCore) {
+        if train.is_empty() {
+            return;
+        }
         let max_t = i64::from(num_steps.saturating_sub(1));
         let mut shifted = |t: u32| (i64::from(t) + self.shift(rng)).clamp(0, max_t) as u32;
         if num_steps > BITMAP_STEPS {
@@ -185,9 +185,8 @@ fn normal_cdf(x: f64) -> f64 {
 /// `erf(y)` for `y ≥ 0` from the all-positive series
 /// `erf(y) = (2/√π)·e^{−y²}·Σ_n (2y²)ⁿ·y / (1·3·…·(2n+1))`: no cancellation,
 /// and `Φ` stays within `1e-15` absolute (8 units of `2^-53`) of a reference
-/// `erfc` over `[−9, 9]`.  The rounded
-/// square enters both `e^{−y²}` and the series, whose dependences on it
-/// cancel to first order.
+/// `erfc` over `[−9, 9]`.  The rounded square enters both `e^{−y²}` and the
+/// series, whose dependences on it cancel to first order.
 fn erf(y: f64) -> f64 {
     if y >= 8.0 {
         // erfc(8) < 1e-29: indistinguishable from 1 at 2^-53 resolution.
@@ -356,44 +355,40 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn apply_paths_agree_on_both_sides_of_the_bitmap_window() {
-        for steps in [64u32, 128, 1024, 1025] {
-            let last = steps - 1;
-            let raster = SpikeRaster::from_trains(
-                vec![
+    /// Rasters on both sides of the bitmap window (`T ≤ 1024` merges in
+    /// the bitmap, `T = 1025` re-sorts): strided, edge-pinned, silent,
+    /// single and saturated trains.
+    fn window_rasters() -> Vec<SpikeRaster> {
+        [64u32, 128, 1024, 1025]
+            .into_iter()
+            .map(|steps| {
+                let last = steps - 1;
+                let trains = vec![
                     (0..steps).step_by(3).collect(),
                     vec![0, 1, last - 1, last],
                     vec![],
                     vec![steps / 2],
                     (0..steps).collect(),
-                ],
-                steps,
-            );
+                ];
+                SpikeRaster::from_trains(trains, steps)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bitmap_and_resort_paths_match_shift_sort_merge() {
+        for raster in window_rasters() {
             for sigma in [0.5, 2.0, 40.0] {
                 let noise = JitterNoise::new(sigma).unwrap();
-                let seed = u64::from(steps) ^ sigma.to_bits();
-                let mut rng_apply = StdRng::seed_from_u64(seed);
-                let mut rng_into = rng_apply.clone();
-                let mut rng_in_place = rng_apply.clone();
-                let mut rng_oracle = rng_apply.clone();
-
-                let applied = noise.apply(&raster, &mut rng_apply);
-                let mut into = SpikeRaster::new(3, 7); // wrong shape: must be reset
-                noise.apply_into(&raster, &mut into, &mut rng_into);
-                let mut in_place = raster.clone();
-                noise.apply_in_place(&mut in_place, &mut rng_in_place);
+                let mut rng = StdRng::seed_from_u64(u64::from(raster.num_steps()));
+                let mut rng_oracle = rng.clone();
+                let out = noise.apply(&raster, &mut rng);
                 let oracle = shift_sort_merge(&noise, &raster, &mut rng_oracle);
-
-                let label = format!("T {steps} sigma {sigma}");
-                assert_eq!(into, applied, "{label}");
-                assert_eq!(in_place, applied, "{label}");
-                for (n, train) in applied.iter() {
+                let label = format!("T {} sigma {sigma}", raster.num_steps());
+                for (n, train) in out.iter() {
                     assert_eq!(train, oracle[n].as_slice(), "{label} neuron {n}");
                 }
-                assert_eq!(rng_into, rng_apply, "{label}");
-                assert_eq!(rng_in_place, rng_apply, "{label}");
-                assert_eq!(rng_oracle, rng_apply, "{label}");
+                assert_eq!(rng, rng_oracle, "{label}");
             }
         }
     }
@@ -511,31 +506,35 @@ mod tests {
 
     #[test]
     fn apply_into_matches_apply_with_identical_rng_consumption() {
-        let raster = SpikeRaster::from_trains(vec![(0..30).collect(), vec![5, 9], vec![]], 64);
-        for sigma in [0.0, 1.0, 4.5] {
-            let noise = JitterNoise::new(sigma).unwrap();
-            let mut rng_a = StdRng::seed_from_u64(21);
-            let mut rng_b = StdRng::seed_from_u64(21);
-            let reference = noise.apply(&raster, &mut rng_a);
-            let mut reused = SpikeRaster::new(9, 9); // wrong shape: must be reset
-            noise.apply_into(&raster, &mut reused, &mut rng_b);
-            assert_eq!(reused, reference, "sigma {sigma}");
-            assert_eq!(rng_a, rng_b, "sigma {sigma}");
+        for raster in window_rasters() {
+            for sigma in [0.0, 0.5, 2.0, 40.0] {
+                let noise = JitterNoise::new(sigma).unwrap();
+                let mut rng_a = StdRng::seed_from_u64(21);
+                let mut rng_b = StdRng::seed_from_u64(21);
+                let reference = noise.apply(&raster, &mut rng_a);
+                let mut reused = SpikeRaster::new(9, 9); // wrong shape: must be reset
+                noise.apply_into(&raster, &mut reused, &mut rng_b);
+                let label = format!("T {} sigma {sigma}", raster.num_steps());
+                assert_eq!(reused, reference, "{label}");
+                assert_eq!(rng_a, rng_b, "{label}");
+            }
         }
     }
 
     #[test]
     fn apply_in_place_matches_apply_with_identical_rng_consumption() {
-        let raster = SpikeRaster::from_trains(vec![(0..20).collect(), vec![3, 60]], 64);
-        for sigma in [0.0, 2.5] {
-            let noise = JitterNoise::new(sigma).unwrap();
-            let mut rng_a = StdRng::seed_from_u64(41);
-            let mut rng_b = StdRng::seed_from_u64(41);
-            let reference = noise.apply(&raster, &mut rng_a);
-            let mut in_place = raster.clone();
-            noise.apply_in_place(&mut in_place, &mut rng_b);
-            assert_eq!(in_place, reference, "sigma {sigma}");
-            assert_eq!(rng_a, rng_b, "sigma {sigma}");
+        for raster in window_rasters() {
+            for sigma in [0.0, 0.5, 2.0, 40.0] {
+                let noise = JitterNoise::new(sigma).unwrap();
+                let mut rng_a = StdRng::seed_from_u64(41);
+                let mut rng_b = StdRng::seed_from_u64(41);
+                let reference = noise.apply(&raster, &mut rng_a);
+                let mut in_place = raster.clone();
+                noise.apply_in_place(&mut in_place, &mut rng_b);
+                let label = format!("T {} sigma {sigma}", raster.num_steps());
+                assert_eq!(in_place, reference, "{label}");
+                assert_eq!(rng_a, rng_b, "{label}");
+            }
         }
     }
 

@@ -104,5 +104,9 @@ pub use sweep::{
     paper_table_jitter_points,
 };
 
+/// `2^53`: the number of distinct 53-bit uniform draws `next_u64() >> 11`,
+/// the one RNG word both noise models spend per spike.
+const UNIT: f64 = (1u64 << 53) as f64;
+
 /// Convenient result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, NoiseError>;
