@@ -69,9 +69,7 @@ fn registry(w: &Workload) -> ModelRegistry {
         MASTER_SEED,
     );
     let mut registry = ModelRegistry::new();
-    registry
-        .load_json(&spec.to_json())
-        .expect("register model spec");
+    registry.register_spec(&spec).expect("register model spec");
     registry
 }
 

@@ -24,8 +24,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nrsnn_bench::record_bench_summary;
 use nrsnn_runtime::derive_seed;
 use nrsnn_serve::{
-    binary, protocol, InferenceReply, ModelRegistry, NoiseSpec, Request, Response, ServedModel,
-    Server, ServerConfig, TcpClient,
+    binary, build_noise, protocol, InferenceReply, ModelRegistry, NoiseSpec, Request, Response,
+    ServedModel, Server, ServerConfig, TcpClient,
 };
 use nrsnn_snn::{CodingConfig, CodingKind, SimWorkspace, SnnLayer, SnnNetwork};
 use nrsnn_tensor::Tensor;
@@ -107,7 +107,7 @@ fn offline_reference(inputs: &[Vec<f32>]) -> Vec<(usize, Vec<u32>)> {
     let network = toy_network();
     let coding = CodingKind::Rate.build();
     let cfg = coding_config();
-    let noise = NoiseSpec::Clean.build().unwrap();
+    let noise = build_noise(&NoiseSpec::Clean).unwrap();
     let mut ws = SimWorkspace::new();
     inputs
         .iter()

@@ -59,9 +59,8 @@ fn workload() -> Workload {
     }
 }
 
-/// Registers the workload as a servable model, round-tripping through the
-/// serialized `ModelSpec` (the same path `serve_loadgen` and deployments
-/// use).
+/// Registers the workload as a servable model through its `ModelSpec`
+/// (the path model files take once decoded).
 fn registry(w: &Workload) -> ModelRegistry {
     let spec = ModelSpec::from_network(
         MODEL,
@@ -73,9 +72,7 @@ fn registry(w: &Workload) -> ModelRegistry {
         MASTER_SEED,
     );
     let mut registry = ModelRegistry::new();
-    registry
-        .load_json(&spec.to_json())
-        .expect("register model spec");
+    registry.register_spec(&spec).expect("register model spec");
     registry
 }
 

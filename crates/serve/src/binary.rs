@@ -1,55 +1,30 @@
-//! Lossless conversions between the serve-side protocol/model types and
-//! their `nrsnn-wire` mirrors.
+//! The server's side of the binary wire: wrapping protocol messages into
+//! `nrsnn-wire` frames and unwrapping them again.
 //!
-//! `nrsnn-wire` cannot depend on this crate (the dependency points the
-//! other way), so it carries its own `Frame`/`StatsBody`/`ModelRecord`
-//! mirrors; every conversion here is total in the encode direction and
-//! bit-preserving in both (logits/weights keep their IEEE bits, seeds keep
-//! all 64 bits).  The determinism contract does not change: a reply is a
-//! function of model, input and seed — never of the wire format that
+//! The messages themselves (and their byte layout) are defined in
+//! `nrsnn-wire`; the only thing left to decide here is which direction a
+//! frame may travel.  The determinism contract does not change: a reply is
+//! a function of model, input and seed — never of the wire format that
 //! carried it.
 
-use nrsnn_obs::{KernelPath, Stage};
-use nrsnn_wire::{
-    Frame, LayerDesc, ModelRecord, NoiseDesc, StageLatencyBody, StatsBody, TraceBody,
-    TraceSpanBody, TRACE_NO_LAYER,
-};
+use nrsnn_wire::Frame;
 
-use crate::metrics::StageLatency;
-use crate::protocol::{InferenceReply, Request, RequestTrace, Response, TraceSpan};
-use crate::{LayerSpec, ModelSpec, NoiseSpec, ServeError, ServerStats};
+use crate::protocol::{Request, Response};
+use crate::ServeError;
 
-/// Converts a client request into its wire frame.
+/// Wraps a client request into its wire frame.
 pub fn request_to_frame(request: &Request) -> Frame {
-    match request {
-        Request::Infer { model, seed, input } => Frame::InferRequest {
-            model: model.clone(),
-            seed: *seed,
-            input: input.clone(),
-        },
-        Request::Stats => Frame::StatsRequest,
-        Request::ListModels => Frame::ListModelsRequest,
-        Request::Ping => Frame::PingRequest,
-        Request::Trace { last } => Frame::TraceRequest {
-            last: u32::try_from(*last).unwrap_or(u32::MAX),
-        },
-    }
+    Frame::Request(request.clone())
 }
 
-/// Converts a decoded wire frame into a client request.
+/// Unwraps a decoded wire frame into a client request.
 ///
 /// # Errors
-/// [`ServeError::InvalidRequest`] if the frame is a reply type (the server
-/// only accepts request frames on its listening side).
+/// [`ServeError::InvalidRequest`] if the frame is not a request (the
+/// server only accepts request frames on its listening side).
 pub fn frame_to_request(frame: Frame) -> crate::Result<Request> {
     match frame {
-        Frame::InferRequest { model, seed, input } => Ok(Request::Infer { model, seed, input }),
-        Frame::StatsRequest => Ok(Request::Stats),
-        Frame::ListModelsRequest => Ok(Request::ListModels),
-        Frame::PingRequest => Ok(Request::Ping),
-        Frame::TraceRequest { last } => Ok(Request::Trace {
-            last: last as usize,
-        }),
+        Frame::Request(request) => Ok(request),
         other => Err(ServeError::InvalidRequest(format!(
             "expected a request frame, got tag 0x{:02X}",
             other.tag()
@@ -57,62 +32,20 @@ pub fn frame_to_request(frame: Frame) -> crate::Result<Request> {
     }
 }
 
-/// Converts a server response into its wire frame.
+/// Wraps a server response into its wire frame.
 pub fn response_to_frame(response: &Response) -> Frame {
-    match response {
-        Response::Infer(reply) => Frame::InferReply {
-            model: reply.model.clone(),
-            predicted: reply.predicted as u64,
-            logits: reply.logits.clone(),
-            total_spikes: reply.total_spikes as u64,
-            latency_us: reply.latency_us,
-            trace_id: reply.trace_id,
-        },
-        Response::Stats(stats) => Frame::StatsReply(stats_to_body(stats)),
-        Response::Models(models) => Frame::ModelsReply(models.clone()),
-        Response::Pong => Frame::PongReply,
-        Response::Trace(traces) => Frame::TraceReply(traces.iter().map(trace_to_body).collect()),
-        Response::Error { code, message } => Frame::ErrorReply {
-            code: code.clone(),
-            message: message.clone(),
-        },
-    }
+    Frame::Response(response.clone())
 }
 
-/// Converts a decoded wire frame into a server response.
+/// Unwraps a decoded wire frame into a server response.
 ///
 /// # Errors
-/// [`ServeError::Io`] if the frame is a request type or carries counters
-/// that do not fit this platform's `usize` (a malformed response means the
-/// transport, not the request, is broken — mirroring
+/// [`ServeError::Io`] if the frame is not a response (a malformed response
+/// means the transport, not the request, is broken — as in
 /// [`crate::protocol::decode_response`]).
 pub fn frame_to_response(frame: Frame) -> crate::Result<Response> {
-    let narrow = |v: u64, what: &str| {
-        usize::try_from(v).map_err(|_| ServeError::Io(format!("{what} {v} does not fit usize")))
-    };
     match frame {
-        Frame::InferReply {
-            model,
-            predicted,
-            logits,
-            total_spikes,
-            latency_us,
-            trace_id,
-        } => Ok(Response::Infer(InferenceReply {
-            model,
-            predicted: narrow(predicted, "predicted index")?,
-            logits,
-            total_spikes: narrow(total_spikes, "spike count")?,
-            latency_us,
-            trace_id,
-        })),
-        Frame::StatsReply(body) => Ok(Response::Stats(body_to_stats(body))),
-        Frame::ModelsReply(models) => Ok(Response::Models(models)),
-        Frame::PongReply => Ok(Response::Pong),
-        Frame::TraceReply(traces) => Ok(Response::Trace(
-            traces.into_iter().map(body_to_trace).collect(),
-        )),
-        Frame::ErrorReply { code, message } => Ok(Response::Error { code, message }),
+        Frame::Response(response) => Ok(response),
         other => Err(ServeError::Io(format!(
             "expected a reply frame, got tag 0x{:02X}",
             other.tag()
@@ -120,259 +53,18 @@ pub fn frame_to_response(frame: Frame) -> crate::Result<Response> {
     }
 }
 
-/// Mirrors a metrics snapshot onto the wire.
-pub fn stats_to_body(stats: &ServerStats) -> StatsBody {
-    StatsBody {
-        requests_received: stats.requests_received,
-        requests_served: stats.requests_served,
-        rejected_busy: stats.rejected_busy,
-        failed: stats.failed,
-        batches: stats.batches,
-        batch_size_histogram: stats.batch_size_histogram.clone(),
-        mean_batch_size: stats.mean_batch_size,
-        p50_latency_us: stats.p50_latency_us,
-        p99_latency_us: stats.p99_latency_us,
-        mean_latency_us: stats.mean_latency_us,
-        total_spikes: stats.total_spikes,
-        spikes_per_inference: stats.spikes_per_inference,
-        batch_size_offset: stats.batch_size_offset,
-        p999_latency_us: stats.p999_latency_us,
-        stage_latency_ns: stats
-            .stage_latency_ns
-            .iter()
-            .map(|entry| StageLatencyBody {
-                stage: entry.stage.clone(),
-                p50_ns: entry.p50_ns,
-                p99_ns: entry.p99_ns,
-            })
-            .collect(),
-    }
-}
-
-/// Reconstructs a metrics snapshot from the wire.
-pub fn body_to_stats(body: StatsBody) -> ServerStats {
-    ServerStats {
-        requests_received: body.requests_received,
-        requests_served: body.requests_served,
-        rejected_busy: body.rejected_busy,
-        failed: body.failed,
-        batches: body.batches,
-        batch_size_histogram: body.batch_size_histogram,
-        mean_batch_size: body.mean_batch_size,
-        p50_latency_us: body.p50_latency_us,
-        p99_latency_us: body.p99_latency_us,
-        mean_latency_us: body.mean_latency_us,
-        total_spikes: body.total_spikes,
-        spikes_per_inference: body.spikes_per_inference,
-        batch_size_offset: body.batch_size_offset,
-        p999_latency_us: body.p999_latency_us,
-        stage_latency_ns: body
-            .stage_latency_ns
-            .into_iter()
-            .map(|entry| StageLatency {
-                stage: entry.stage,
-                p50_ns: entry.p50_ns,
-                p99_ns: entry.p99_ns,
-            })
-            .collect(),
-    }
-}
-
-/// Mirrors one recorded timeline onto the wire.  Stage and kernel names
-/// compress to the `nrsnn-obs` taxonomy codes; a name outside the taxonomy
-/// (which cannot be produced by this server) maps to an out-of-range code
-/// and resurfaces as an empty stage name on decode.
-pub fn trace_to_body(trace: &RequestTrace) -> TraceBody {
-    TraceBody {
-        trace_id: trace.trace_id,
-        model: trace.model.clone(),
-        seed: trace.seed,
-        worker: trace.worker,
-        start_ns: trace.start_ns,
-        end_ns: trace.end_ns,
-        ok: trace.ok,
-        backend: trace.backend.clone(),
-        spans: trace
-            .spans
-            .iter()
-            .map(|span| TraceSpanBody {
-                stage: Stage::from_name(&span.stage).map_or(u8::MAX, |s| s.code()),
-                layer: span.layer.unwrap_or(TRACE_NO_LAYER),
-                start_ns: span.start_ns,
-                end_ns: span.end_ns,
-                kernel: match span.kernel.as_deref() {
-                    Some("sparse") => KernelPath::Sparse.code(),
-                    Some("dense") => KernelPath::Dense.code(),
-                    _ => KernelPath::None.code(),
-                },
-                density: span.density,
-            })
-            .collect(),
-        dropped_spans: trace.dropped_spans,
-    }
-}
-
-/// Reconstructs one recorded timeline from the wire.
-pub fn body_to_trace(body: TraceBody) -> RequestTrace {
-    RequestTrace {
-        trace_id: body.trace_id,
-        model: body.model,
-        seed: body.seed,
-        worker: body.worker,
-        start_ns: body.start_ns,
-        end_ns: body.end_ns,
-        ok: body.ok,
-        backend: body.backend,
-        spans: body
-            .spans
-            .into_iter()
-            .map(|span| TraceSpan {
-                stage: Stage::from_code(span.stage)
-                    .map_or_else(String::new, |s| s.as_str().to_string()),
-                layer: (span.layer != TRACE_NO_LAYER).then_some(span.layer),
-                start_ns: span.start_ns,
-                end_ns: span.end_ns,
-                kernel: KernelPath::from_code(span.kernel)
-                    .and_then(|k| k.as_str())
-                    .map(str::to_string),
-                density: span.density,
-            })
-            .collect(),
-        dropped_spans: body.dropped_spans,
-    }
-}
-
-fn noise_to_desc(noise: &NoiseSpec) -> NoiseDesc {
-    match noise {
-        NoiseSpec::Clean => NoiseDesc::Clean,
-        NoiseSpec::Deletion(p) => NoiseDesc::Deletion(*p),
-        NoiseSpec::Jitter(sigma) => NoiseDesc::Jitter(*sigma),
-        NoiseSpec::Composite(stages) => {
-            NoiseDesc::Composite(stages.iter().map(noise_to_desc).collect())
-        }
-    }
-}
-
-fn desc_to_noise(desc: NoiseDesc) -> NoiseSpec {
-    match desc {
-        NoiseDesc::Clean => NoiseSpec::Clean,
-        NoiseDesc::Deletion(p) => NoiseSpec::Deletion(p),
-        NoiseDesc::Jitter(sigma) => NoiseSpec::Jitter(sigma),
-        NoiseDesc::Composite(stages) => {
-            NoiseSpec::Composite(stages.into_iter().map(desc_to_noise).collect())
-        }
-    }
-}
-
-fn layer_to_desc(layer: &LayerSpec) -> LayerDesc {
-    match *layer {
-        LayerSpec::Linear { out, input } => LayerDesc::Linear { out, input },
-        LayerSpec::Conv {
-            out_channels,
-            in_channels,
-            in_height,
-            in_width,
-            kernel,
-            stride,
-            padding,
-        } => LayerDesc::Conv {
-            out_channels,
-            in_channels,
-            in_height,
-            in_width,
-            kernel,
-            stride,
-            padding,
-        },
-        LayerSpec::AvgPool {
-            channels,
-            in_height,
-            in_width,
-            window,
-            stride,
-        } => LayerDesc::AvgPool {
-            channels,
-            in_height,
-            in_width,
-            window,
-            stride,
-        },
-    }
-}
-
-fn desc_to_layer(desc: LayerDesc) -> LayerSpec {
-    match desc {
-        LayerDesc::Linear { out, input } => LayerSpec::Linear { out, input },
-        LayerDesc::Conv {
-            out_channels,
-            in_channels,
-            in_height,
-            in_width,
-            kernel,
-            stride,
-            padding,
-        } => LayerSpec::Conv {
-            out_channels,
-            in_channels,
-            in_height,
-            in_width,
-            kernel,
-            stride,
-            padding,
-        },
-        LayerDesc::AvgPool {
-            channels,
-            in_height,
-            in_width,
-            window,
-            stride,
-        } => LayerSpec::AvgPool {
-            channels,
-            in_height,
-            in_width,
-            window,
-            stride,
-        },
-    }
-}
-
-/// Mirrors a model specification onto the on-disk record.
-pub fn spec_to_record(spec: &ModelSpec) -> ModelRecord {
-    ModelRecord {
-        name: spec.name.clone(),
-        coding: spec.coding,
-        time_steps: spec.time_steps,
-        threshold: spec.threshold,
-        ttfs_tau_fraction: spec.ttfs_tau_fraction,
-        scaling: spec.scaling,
-        noise: noise_to_desc(&spec.noise),
-        master_seed: spec.master_seed,
-        layers: spec.layers.iter().map(layer_to_desc).collect(),
-        weights: spec.weights.clone(),
-    }
-}
-
-/// Reconstructs a model specification from an on-disk record.
-pub fn record_to_spec(record: ModelRecord) -> ModelSpec {
-    ModelSpec {
-        name: record.name,
-        coding: record.coding,
-        time_steps: record.time_steps,
-        threshold: record.threshold,
-        ttfs_tau_fraction: record.ttfs_tau_fraction,
-        scaling: record.scaling,
-        noise: desc_to_noise(record.noise),
-        master_seed: record.master_seed,
-        layers: record.layers.into_iter().map(desc_to_layer).collect(),
-        weights: record.weights,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{
+        decode_response, encode_line, InferenceReply, RequestTrace, ServerStats, StageLatency,
+        TraceSpan,
+    };
+    use crate::{ModelSpec, NoiseSpec};
+    use nrsnn_obs::{KernelPath, Stage};
     use nrsnn_snn::{CodingConfig, CodingKind, SnnLayer, SnnNetwork};
     use nrsnn_tensor::Tensor;
+    use nrsnn_wire::{decode_frame, encode_frame};
 
     fn sample_spec() -> ModelSpec {
         let network = SnnNetwork::new(vec![SnnLayer::Linear {
@@ -391,6 +83,11 @@ mod tests {
         )
     }
 
+    fn binary_round_trip(response: &Response) -> Response {
+        let bytes = encode_frame(&response_to_frame(response)).unwrap();
+        frame_to_response(decode_frame(&bytes).unwrap()).unwrap()
+    }
+
     #[test]
     fn requests_and_responses_round_trip_through_frames() {
         let requests = [
@@ -405,7 +102,8 @@ mod tests {
             Request::Trace { last: 8 },
         ];
         for request in requests {
-            let back = frame_to_request(request_to_frame(&request)).unwrap();
+            let bytes = encode_frame(&request_to_frame(&request)).unwrap();
+            let back = frame_to_request(decode_frame(&bytes).unwrap()).unwrap();
             assert_eq!(back, request);
         }
         let responses = [
@@ -430,19 +128,19 @@ mod tests {
                 backend: "avx2".to_string(),
                 spans: vec![
                     TraceSpan {
-                        stage: "queue_wait".to_string(),
+                        stage: Stage::QueueWait.code(),
                         layer: None,
                         start_ns: 100,
                         end_ns: 900,
-                        kernel: None,
+                        kernel: KernelPath::None.code(),
                         density: 0.0,
                     },
                     TraceSpan {
-                        stage: "simulate".to_string(),
+                        stage: Stage::Simulate.code(),
                         layer: Some(2),
                         start_ns: 900,
                         end_ns: 9_100,
-                        kernel: Some("dense".to_string()),
+                        kernel: KernelPath::Dense.code(),
                         density: 0.75,
                     },
                 ],
@@ -454,14 +152,13 @@ mod tests {
             },
         ];
         for response in responses {
-            let back = frame_to_response(response_to_frame(&response)).unwrap();
-            assert_eq!(back, response);
+            assert_eq!(binary_round_trip(&response), response);
         }
     }
 
     #[test]
-    fn stats_mirror_is_field_complete() {
-        let stats = ServerStats {
+    fn stats_with_every_field_set_survive_both_codecs() {
+        let stats = Response::Stats(ServerStats {
             requests_received: 1,
             requests_served: 2,
             rejected_busy: 3,
@@ -481,47 +178,27 @@ mod tests {
                 p50_ns: 16,
                 p99_ns: 17,
             }],
-        };
-        assert_eq!(body_to_stats(stats_to_body(&stats)), stats);
-    }
-
-    #[test]
-    fn every_stage_and_kernel_name_survives_the_code_mapping() {
-        for stage in Stage::ALL {
-            let span = TraceSpan {
-                stage: stage.as_str().to_string(),
-                layer: Some(0),
-                start_ns: 0,
-                end_ns: 1,
-                kernel: Some("sparse".to_string()),
-                density: 0.5,
-            };
-            let trace = RequestTrace {
-                trace_id: 1,
-                model: "m".to_string(),
-                seed: 0,
-                worker: 0,
-                start_ns: 0,
-                end_ns: 1,
-                ok: false,
-                backend: "scalar".to_string(),
-                spans: vec![span],
-                dropped_spans: 3,
-            };
-            assert_eq!(body_to_trace(trace_to_body(&trace)), trace);
-        }
+        });
+        assert_eq!(binary_round_trip(&stats), stats);
+        assert_eq!(decode_response(&encode_line(&stats)).unwrap(), stats);
     }
 
     #[test]
     fn reply_frames_are_rejected_as_requests_and_vice_versa() {
-        assert!(frame_to_request(Frame::PongReply).is_err());
-        assert!(frame_to_response(Frame::PingRequest).is_err());
+        assert!(matches!(
+            frame_to_request(Frame::Response(Response::Pong)),
+            Err(ServeError::InvalidRequest(_))
+        ));
+        assert!(matches!(
+            frame_to_response(Frame::Request(Request::Ping)),
+            Err(ServeError::Io(_))
+        ));
     }
 
     #[test]
     fn model_spec_round_trips_through_the_record() {
         let spec = sample_spec();
-        let back = record_to_spec(spec_to_record(&spec));
+        let back = ModelSpec::from_binary(&spec.to_binary().unwrap()).unwrap();
         assert_eq!(back, spec);
         for (a, b) in back.weights.params.iter().zip(&spec.weights.params) {
             for (va, vb) in a.as_slice().iter().zip(b.as_slice()) {

@@ -11,7 +11,7 @@
 //!
 //! * **[`ModelRegistry`]** — named, warm [`ServedModel`]s (converted
 //!   network + coding + noise transform + weight scaling), loadable from
-//!   serialized [`ModelSpec`] JSON files whose parameters reuse the
+//!   binary `NRSM` [`ModelSpec`] files whose parameters reuse the
 //!   `NetworkWeights` container from `nrsnn-dnn`;
 //! * **dynamic batcher** — a bounded queue ([`ServeError::Busy`]
 //!   backpressure, nothing dropped silently) drained by a
@@ -21,7 +21,8 @@
 //!   policy);
 //! * **front-ends** — the in-process [`Client`] and a
 //!   [`std::net::TcpListener`] endpoint speaking newline-delimited JSON
-//!   ([`protocol`]), with graceful [`Server::shutdown`];
+//!   ([`protocol`]) or binary frames ([`binary`]), with graceful
+//!   [`Server::shutdown`];
 //! * **metrics** — [`ServerStats`] (requests served, batch-size histogram,
 //!   p50/p99/p999 latency, per-stage latency, spikes per inference) via
 //!   [`Client::stats`] or the wire-level `stats` request, aggregated from
@@ -88,9 +89,11 @@ mod server;
 
 pub use batcher::ServerConfig;
 pub use error::ServeError;
-pub use metrics::{ServerStats, StageLatency};
-pub use model::{LayerSpec, ModelSpec, NoiseSpec, ServedModel};
-pub use protocol::{InferenceReply, Request, RequestTrace, Response, TraceSpan};
+pub use model::{build_noise, ModelSpec, ServedModel};
+pub use nrsnn_wire::{LayerSpec, NoiseSpec};
+pub use protocol::{
+    InferenceReply, Request, RequestTrace, Response, ServerStats, StageLatency, TraceSpan,
+};
 pub use registry::ModelRegistry;
 pub use server::{Client, Server, TcpClient, RETRY_BUDGET};
 

@@ -23,7 +23,8 @@ use nrsnn_obs::{
     FlightRecorder, MonotonicClock, RecorderConfig, ShardedCounter, ShardedHistogram, Stage,
     TraceRecord,
 };
-use serde::{DeError, Deserialize, Serialize, Value};
+
+use crate::protocol::{ServerStats, StageLatency};
 
 /// Flight-recorder sizing: per worker, the last `RECENT_TRACES` request
 /// timelines plus up to `OUTLIER_TRACES` retained slow/failed outliers.
@@ -246,178 +247,10 @@ impl Default for Metrics {
     }
 }
 
-/// p50/p99 of one pipeline stage, in nanoseconds (stage durations are
-/// often sub-microsecond, so µs granularity would collapse them to zero).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageLatency {
-    /// Stage name (`"queue_wait"`, `"encode"`, … — see the span taxonomy
-    /// in docs/ARCHITECTURE.md).
-    pub stage: String,
-    /// Median stage duration (ns, log-linear upper bound within ~3%).
-    pub p50_ns: u64,
-    /// 99th-percentile stage duration (ns, same precision).
-    pub p99_ns: u64,
-}
-
-/// A point-in-time snapshot of the server's counters, as returned by the
-/// `stats` request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServerStats {
-    /// Validly-addressed submits, whether admitted or rejected for
-    /// backpressure: at quiescence
-    /// `requests_received == requests_served + failed + rejected_busy`.
-    pub requests_received: u64,
-    /// Requests answered successfully.
-    pub requests_served: u64,
-    /// Requests rejected with [`crate::ServeError::Busy`] (backpressure).
-    pub rejected_busy: u64,
-    /// Requests that failed after being queued.
-    pub failed: u64,
-    /// Batches executed.
-    pub batches: u64,
-    /// `batch_size_histogram[i]` = number of executed batches of size
-    /// `batch_size_offset + i`.  The zero head below the smallest executed
-    /// batch is trimmed at snapshot time: the histogram is either empty or
-    /// has nonzero first and last entries.
-    pub batch_size_histogram: Vec<u64>,
-    /// Mean requests per executed batch.
-    pub mean_batch_size: f64,
-    /// Median end-to-end latency (µs; log-linear bucket upper bound,
-    /// within ~3% of the true order statistic).
-    pub p50_latency_us: u64,
-    /// 99th-percentile end-to-end latency (µs, same precision).
-    pub p99_latency_us: u64,
-    /// Exact mean end-to-end latency in microseconds.
-    pub mean_latency_us: f64,
-    /// Total spikes transmitted across all served inferences.
-    pub total_spikes: u64,
-    /// Mean spikes per served inference.
-    pub spikes_per_inference: f64,
-    /// Batch size of `batch_size_histogram[0]` (0 when no batches ran).
-    pub batch_size_offset: u64,
-    /// 99.9th-percentile end-to-end latency (µs, same precision as p50).
-    pub p999_latency_us: u64,
-    /// Per-stage p50/p99 durations for every stage that recorded at least
-    /// one span (empty when tracing is disabled or pre-traffic).
-    pub stage_latency_ns: Vec<StageLatency>,
-}
-
-impl Serialize for StageLatency {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("stage".to_string(), self.stage.to_value()),
-            ("p50_ns".to_string(), self.p50_ns.to_value()),
-            ("p99_ns".to_string(), self.p99_ns.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for StageLatency {
-    fn from_value(value: &Value) -> std::result::Result<Self, DeError> {
-        let field = |key: &str| {
-            value
-                .get(key)
-                .ok_or_else(|| DeError::new(format!("stage latency missing field {key:?}")))
-        };
-        Ok(StageLatency {
-            stage: String::from_value(field("stage")?)?,
-            p50_ns: u64::from_value(field("p50_ns")?)?,
-            p99_ns: u64::from_value(field("p99_ns")?)?,
-        })
-    }
-}
-
-impl Serialize for ServerStats {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "requests_received".to_string(),
-                self.requests_received.to_value(),
-            ),
-            (
-                "requests_served".to_string(),
-                self.requests_served.to_value(),
-            ),
-            ("rejected_busy".to_string(), self.rejected_busy.to_value()),
-            ("failed".to_string(), self.failed.to_value()),
-            ("batches".to_string(), self.batches.to_value()),
-            (
-                "batch_size_histogram".to_string(),
-                self.batch_size_histogram.to_value(),
-            ),
-            (
-                "mean_batch_size".to_string(),
-                self.mean_batch_size.to_value(),
-            ),
-            ("p50_latency_us".to_string(), self.p50_latency_us.to_value()),
-            ("p99_latency_us".to_string(), self.p99_latency_us.to_value()),
-            (
-                "mean_latency_us".to_string(),
-                self.mean_latency_us.to_value(),
-            ),
-            ("total_spikes".to_string(), self.total_spikes.to_value()),
-            (
-                "spikes_per_inference".to_string(),
-                self.spikes_per_inference.to_value(),
-            ),
-            (
-                "batch_size_offset".to_string(),
-                self.batch_size_offset.to_value(),
-            ),
-            (
-                "p999_latency_us".to_string(),
-                self.p999_latency_us.to_value(),
-            ),
-            (
-                "stage_latency_ns".to_string(),
-                self.stage_latency_ns.to_value(),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for ServerStats {
-    fn from_value(value: &Value) -> std::result::Result<Self, DeError> {
-        let field = |key: &str| {
-            value
-                .get(key)
-                .ok_or_else(|| DeError::new(format!("stats missing field {key:?}")))
-        };
-        Ok(ServerStats {
-            requests_received: u64::from_value(field("requests_received")?)?,
-            requests_served: u64::from_value(field("requests_served")?)?,
-            rejected_busy: u64::from_value(field("rejected_busy")?)?,
-            failed: u64::from_value(field("failed")?)?,
-            batches: u64::from_value(field("batches")?)?,
-            batch_size_histogram: Vec::<u64>::from_value(field("batch_size_histogram")?)?,
-            mean_batch_size: f64::from_value(field("mean_batch_size")?)?,
-            p50_latency_us: u64::from_value(field("p50_latency_us")?)?,
-            p99_latency_us: u64::from_value(field("p99_latency_us")?)?,
-            mean_latency_us: f64::from_value(field("mean_latency_us")?)?,
-            total_spikes: u64::from_value(field("total_spikes")?)?,
-            spikes_per_inference: f64::from_value(field("spikes_per_inference")?)?,
-            // The three observability fields are additive (introduced after
-            // the first stats consumers shipped): absent fields decode to
-            // their zero values so older snapshots keep round-tripping.
-            batch_size_offset: match value.get("batch_size_offset") {
-                Some(v) => u64::from_value(v)?,
-                None => 0,
-            },
-            p999_latency_us: match value.get("p999_latency_us") {
-                Some(v) => u64::from_value(v)?,
-                None => 0,
-            },
-            stage_latency_ns: match value.get("stage_latency_ns") {
-                Some(v) => Vec::<StageLatency>::from_value(v)?,
-                None => Vec::new(),
-            },
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::JsonCodec;
 
     #[test]
     fn snapshot_reflects_recorded_traffic() {
@@ -629,8 +462,8 @@ mod tests {
         m.record_served(0, 250, 42);
         m.record_stage(0, Stage::QueueWait, 125_000);
         let stats = m.snapshot();
-        let json = serde_json::to_string(&stats).unwrap();
-        let back: ServerStats = serde_json::from_str(&json).unwrap();
+        let json = stats.to_json().to_string();
+        let back = ServerStats::from_json(&serde_json::from_str(&json).unwrap()).unwrap();
         assert_eq!(back, stats);
     }
 
@@ -646,7 +479,7 @@ mod tests {
             "p99_latency_us": 256, "mean_latency_us": 100.5,
             "total_spikes": 84, "spikes_per_inference": 42.0
         }"#;
-        let stats: ServerStats = serde_json::from_str(legacy).unwrap();
+        let stats = ServerStats::from_json(&serde_json::from_str(legacy).unwrap()).unwrap();
         assert_eq!(stats.requests_served, 2);
         assert_eq!(stats.batch_size_offset, 0);
         assert_eq!(stats.p999_latency_us, 0);

@@ -1,14 +1,14 @@
-//! Serializable model specifications and their warm, servable form.
+//! Model specifications and their warm, servable form.
 //!
-//! A [`ModelSpec`] is the on-disk description of one servable SNN: the
-//! converted layer architecture, its parameters (reusing the
-//! [`NetworkWeights`] container from `nrsnn-dnn`, in the same
-//! weights-then-bias per-layer order), the neural coding, the coding
-//! configuration, the deployment noise model and the weight-scaling factor
-//! that was folded into the parameters.  [`ModelSpec::build`] turns it into
-//! a [`ServedModel`]: the reconstructed [`SnnNetwork`] plus ready-to-use
-//! coding and noise objects, kept warm by the registry for the lifetime of
-//! the server.
+//! A [`ModelSpec`] is the description of one servable SNN that the binary
+//! `NRSM` model file carries: the converted layer architecture, its
+//! parameters (reusing the [`NetworkWeights`] container from `nrsnn-dnn`,
+//! in the same weights-then-bias per-layer order), the neural coding, the
+//! coding configuration, the deployment noise model and the weight-scaling
+//! factor that was folded into the parameters.  [`ModelSpec::build`] turns
+//! it into a [`ServedModel`]: the reconstructed [`SnnNetwork`] plus
+//! ready-to-use coding and noise objects, kept warm by the registry for the
+//! lifetime of the server.
 
 use nrsnn_dnn::NetworkWeights;
 use nrsnn_noise::{CompositeNoise, DeletionNoise, JitterNoise};
@@ -16,277 +16,40 @@ use nrsnn_snn::{
     CodingConfig, CodingKind, IdentityTransform, NeuralCoding, SnnLayer, SnnNetwork, SpikeTransform,
 };
 use nrsnn_tensor::{Conv2dGeometry, Pool2dGeometry, Tensor};
-use serde::{DeError, Deserialize, Serialize, Value};
+use nrsnn_wire::{LayerSpec, ModelRecord, NoiseSpec};
 
-use crate::protocol::{seed_from_value, seed_to_value};
 use crate::{Result, ServeError};
 
-/// Architecture of one converted-SNN layer, without its parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LayerSpec {
-    /// Fully connected layer (`out x input` weights plus `out` biases).
-    Linear {
-        /// Output width.
-        out: usize,
-        /// Input width.
-        input: usize,
-    },
-    /// Convolution layer (flattened `out_channels x patch` kernel bank plus
-    /// `out_channels` biases).
-    Conv {
-        /// Number of output channels.
-        out_channels: usize,
-        /// Number of input channels.
-        in_channels: usize,
-        /// Input height in pixels.
-        in_height: usize,
-        /// Input width in pixels.
-        in_width: usize,
-        /// Square kernel size.
-        kernel: usize,
-        /// Stride in both directions.
-        stride: usize,
-        /// Symmetric zero padding.
-        padding: usize,
-    },
-    /// Average pooling (parameter-free).
-    AvgPool {
-        /// Number of channels.
-        channels: usize,
-        /// Input height in pixels.
-        in_height: usize,
-        /// Input width in pixels.
-        in_width: usize,
-        /// Square pooling window.
-        window: usize,
-        /// Stride (commonly equal to the window).
-        stride: usize,
-    },
-}
-
-impl LayerSpec {
-    /// Extracts the architecture of an existing network layer.
-    pub fn of_layer(layer: &SnnLayer) -> LayerSpec {
-        match layer {
-            SnnLayer::Linear { weights, .. } => LayerSpec::Linear {
-                out: weights.dims()[0],
-                input: weights.dims()[1],
-            },
-            SnnLayer::Conv {
-                weights, geometry, ..
-            } => LayerSpec::Conv {
-                out_channels: weights.dims()[0],
-                in_channels: geometry.in_channels,
-                in_height: geometry.in_height,
-                in_width: geometry.in_width,
-                kernel: geometry.kernel,
-                stride: geometry.stride,
-                padding: geometry.padding,
-            },
-            SnnLayer::AvgPool { geometry } => LayerSpec::AvgPool {
-                channels: geometry.channels,
-                in_height: geometry.in_height,
-                in_width: geometry.in_width,
-                window: geometry.window,
-                stride: geometry.stride,
-            },
-        }
-    }
-
-    /// Number of parameter tensors this layer consumes from the flat
-    /// [`NetworkWeights`] list (weights + bias, or none for pooling).
-    pub fn param_count(&self) -> usize {
-        match self {
-            LayerSpec::Linear { .. } | LayerSpec::Conv { .. } => 2,
-            LayerSpec::AvgPool { .. } => 0,
-        }
-    }
-}
-
-impl Serialize for LayerSpec {
-    fn to_value(&self) -> Value {
-        match *self {
-            LayerSpec::Linear { out, input } => Value::Object(vec![
-                ("kind".to_string(), "linear".to_value()),
-                ("out".to_string(), out.to_value()),
-                ("in".to_string(), input.to_value()),
-            ]),
-            LayerSpec::Conv {
-                out_channels,
-                in_channels,
-                in_height,
-                in_width,
-                kernel,
-                stride,
-                padding,
-            } => Value::Object(vec![
-                ("kind".to_string(), "conv".to_value()),
-                ("out_channels".to_string(), out_channels.to_value()),
-                ("in_channels".to_string(), in_channels.to_value()),
-                ("in_height".to_string(), in_height.to_value()),
-                ("in_width".to_string(), in_width.to_value()),
-                ("kernel".to_string(), kernel.to_value()),
-                ("stride".to_string(), stride.to_value()),
-                ("padding".to_string(), padding.to_value()),
-            ]),
-            LayerSpec::AvgPool {
-                channels,
-                in_height,
-                in_width,
-                window,
-                stride,
-            } => Value::Object(vec![
-                ("kind".to_string(), "avgpool".to_value()),
-                ("channels".to_string(), channels.to_value()),
-                ("in_height".to_string(), in_height.to_value()),
-                ("in_width".to_string(), in_width.to_value()),
-                ("window".to_string(), window.to_value()),
-                ("stride".to_string(), stride.to_value()),
-            ]),
-        }
-    }
-}
-
-fn field<T: Deserialize>(value: &Value, key: &str) -> std::result::Result<T, DeError> {
-    let v = value
-        .get(key)
-        .ok_or_else(|| DeError::new(format!("missing field {key:?}")))?;
-    T::from_value(v)
-}
-
-impl Deserialize for LayerSpec {
-    fn from_value(value: &Value) -> std::result::Result<Self, DeError> {
-        let kind: String = field(value, "kind")?;
-        match kind.as_str() {
-            "linear" => Ok(LayerSpec::Linear {
-                out: field(value, "out")?,
-                input: field(value, "in")?,
-            }),
-            "conv" => Ok(LayerSpec::Conv {
-                out_channels: field(value, "out_channels")?,
-                in_channels: field(value, "in_channels")?,
-                in_height: field(value, "in_height")?,
-                in_width: field(value, "in_width")?,
-                kernel: field(value, "kernel")?,
-                stride: field(value, "stride")?,
-                padding: field(value, "padding")?,
-            }),
-            "avgpool" => Ok(LayerSpec::AvgPool {
-                channels: field(value, "channels")?,
-                in_height: field(value, "in_height")?,
-                in_width: field(value, "in_width")?,
-                window: field(value, "window")?,
-                stride: field(value, "stride")?,
-            }),
-            other => Err(DeError::new(format!("unknown layer kind {other:?}"))),
-        }
-    }
-}
-
-/// Serializable description of the noise transform a model is served under.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NoiseSpec {
-    /// No noise (the clean baseline).
-    Clean,
-    /// Independent per-spike deletion with the given probability.
-    Deletion(f64),
-    /// Gaussian spike-time jitter with the given standard deviation.
-    Jitter(f64),
-    /// A chain of primitive stages applied in order (stages must not
-    /// themselves be composites).
-    Composite(Vec<NoiseSpec>),
-}
-
-impl NoiseSpec {
-    /// Builds the runtime transform this specification describes.
-    ///
-    /// # Errors
-    /// Returns [`ServeError::Model`] for out-of-range parameters or nested
-    /// composites.
-    pub fn build(&self) -> Result<Box<dyn SpikeTransform>> {
-        match self {
-            NoiseSpec::Clean => Ok(Box::new(IdentityTransform)),
-            NoiseSpec::Deletion(p) => Ok(Box::new(DeletionNoise::new(*p)?)),
-            NoiseSpec::Jitter(sigma) => Ok(Box::new(JitterNoise::new(*sigma)?)),
-            NoiseSpec::Composite(stages) => {
-                let mut chain = CompositeNoise::new();
-                for stage in stages {
-                    chain = match stage {
-                        NoiseSpec::Clean => chain,
-                        NoiseSpec::Deletion(p) => chain.then(DeletionNoise::new(*p)?),
-                        NoiseSpec::Jitter(sigma) => chain.then(JitterNoise::new(*sigma)?),
-                        NoiseSpec::Composite(_) => {
-                            return Err(ServeError::Model(
-                                "composite noise stages must be primitive".to_string(),
-                            ))
-                        }
-                    };
-                }
-                Ok(Box::new(chain))
+/// Builds the runtime transform a noise specification describes.
+///
+/// # Errors
+/// Returns [`ServeError::Model`] for out-of-range parameters or nested
+/// composites.
+pub fn build_noise(spec: &NoiseSpec) -> Result<Box<dyn SpikeTransform>> {
+    match spec {
+        NoiseSpec::Clean => Ok(Box::new(IdentityTransform)),
+        NoiseSpec::Deletion(p) => Ok(Box::new(DeletionNoise::new(*p)?)),
+        NoiseSpec::Jitter(sigma) => Ok(Box::new(JitterNoise::new(*sigma)?)),
+        NoiseSpec::Composite(stages) => {
+            let mut chain = CompositeNoise::new();
+            for stage in stages {
+                chain = match stage {
+                    NoiseSpec::Clean => chain,
+                    NoiseSpec::Deletion(p) => chain.then(DeletionNoise::new(*p)?),
+                    NoiseSpec::Jitter(sigma) => chain.then(JitterNoise::new(*sigma)?),
+                    NoiseSpec::Composite(_) => {
+                        return Err(ServeError::Model(
+                            "composite noise stages must be primitive".to_string(),
+                        ))
+                    }
+                };
             }
+            Ok(Box::new(chain))
         }
     }
 }
 
-impl Serialize for NoiseSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            NoiseSpec::Clean => Value::Object(vec![("kind".to_string(), "clean".to_value())]),
-            NoiseSpec::Deletion(p) => Value::Object(vec![
-                ("kind".to_string(), "deletion".to_value()),
-                ("p".to_string(), p.to_value()),
-            ]),
-            NoiseSpec::Jitter(sigma) => Value::Object(vec![
-                ("kind".to_string(), "jitter".to_value()),
-                ("sigma".to_string(), sigma.to_value()),
-            ]),
-            NoiseSpec::Composite(stages) => Value::Object(vec![
-                ("kind".to_string(), "composite".to_value()),
-                ("stages".to_string(), stages.to_value()),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for NoiseSpec {
-    fn from_value(value: &Value) -> std::result::Result<Self, DeError> {
-        let kind: String = field(value, "kind")?;
-        match kind.as_str() {
-            "clean" => Ok(NoiseSpec::Clean),
-            "deletion" => Ok(NoiseSpec::Deletion(field(value, "p")?)),
-            "jitter" => Ok(NoiseSpec::Jitter(field(value, "sigma")?)),
-            "composite" => Ok(NoiseSpec::Composite(field(value, "stages")?)),
-            other => Err(DeError::new(format!("unknown noise kind {other:?}"))),
-        }
-    }
-}
-
-fn coding_to_value(kind: CodingKind) -> Value {
-    match kind {
-        CodingKind::Rate => Value::Object(vec![("kind".to_string(), "rate".to_value())]),
-        CodingKind::Phase => Value::Object(vec![("kind".to_string(), "phase".to_value())]),
-        CodingKind::Burst => Value::Object(vec![("kind".to_string(), "burst".to_value())]),
-        CodingKind::Ttfs => Value::Object(vec![("kind".to_string(), "ttfs".to_value())]),
-        CodingKind::Ttas(t_a) => Value::Object(vec![
-            ("kind".to_string(), "ttas".to_value()),
-            ("t_a".to_string(), t_a.to_value()),
-        ]),
-    }
-}
-
-fn coding_from_value(value: &Value) -> std::result::Result<CodingKind, DeError> {
-    let kind: String = field(value, "kind")?;
-    match kind.as_str() {
-        "rate" => Ok(CodingKind::Rate),
-        "phase" => Ok(CodingKind::Phase),
-        "burst" => Ok(CodingKind::Burst),
-        "ttfs" => Ok(CodingKind::Ttfs),
-        "ttas" => Ok(CodingKind::Ttas(field(value, "t_a")?)),
-        other => Err(DeError::new(format!("unknown coding kind {other:?}"))),
-    }
-}
-
-/// The serializable description of one servable model.
+/// The description of one servable model (the content of an `NRSM` file).
 ///
 /// The parameters in `weights` are the final (already weight-scaled)
 /// converted-SNN tensors, in layer order with weights before bias —
@@ -468,7 +231,7 @@ impl ModelSpec {
             coding_kind: self.coding,
             coding: self.coding.build(),
             config,
-            noise: self.noise.build()?,
+            noise: build_noise(&self.noise)?,
             noise_spec: self.noise.clone(),
             scaling: self.scaling,
             master_seed: self.master_seed,
@@ -476,33 +239,28 @@ impl ModelSpec {
         })
     }
 
-    /// Serializes the specification as compact JSON.
-    pub fn to_json(&self) -> String {
-        // UNWRAP: infallible — `ModelSpec` contains no map keys or
-        // non-string-keyed data the JSON shim can reject.
-        serde_json::to_string(self).expect("shim serialization is infallible")
-    }
-
-    /// Parses a specification from JSON text.
-    ///
-    /// # Errors
-    /// Returns [`ServeError::Model`] on malformed JSON or schema mismatch.
-    pub fn from_json(json: &str) -> Result<ModelSpec> {
-        serde_json::from_str(json).map_err(|e| ServeError::Model(e.to_string()))
-    }
-
     /// Serializes the specification as a binary `nrsnn-wire` model file
-    /// image (`NRSM` magic; see `nrsnn_wire::model` for the layout).
-    /// Unlike [`ModelSpec::to_json`], the binary image is bit-exact and
-    /// roughly 3x smaller: weights travel as raw IEEE bits and the master
+    /// image (`NRSM` magic; see `nrsnn_wire::model` for the layout).  The
+    /// image is bit-exact: weights travel as raw IEEE bits and the master
     /// seed as a full u64.
     ///
     /// # Errors
     /// Returns [`ServeError::Model`] for specs the format cannot carry
     /// (dimensions above `u32::MAX`, nested composite noise).
     pub fn to_binary(&self) -> Result<Vec<u8>> {
-        nrsnn_wire::encode_model(&crate::binary::spec_to_record(self))
-            .map_err(|e| ServeError::Model(e.to_string()))
+        let record = ModelRecord {
+            name: self.name.clone(),
+            coding: self.coding,
+            time_steps: self.time_steps,
+            threshold: self.threshold,
+            ttfs_tau_fraction: self.ttfs_tau_fraction,
+            scaling: self.scaling,
+            noise: self.noise.clone(),
+            master_seed: self.master_seed,
+            layers: self.layers.clone(),
+            weights: self.weights.clone(),
+        };
+        nrsnn_wire::encode_model(&record).map_err(|e| ServeError::Model(e.to_string()))
     }
 
     /// Parses a specification from a binary model file image.
@@ -511,53 +269,19 @@ impl ModelSpec {
     /// Returns [`ServeError::Model`] on any decode failure (bad magic,
     /// unsupported version, truncation, corrupt payload).
     pub fn from_binary(bytes: &[u8]) -> Result<ModelSpec> {
-        nrsnn_wire::decode_model(bytes)
-            .map(crate::binary::record_to_spec)
-            .map_err(|e| ServeError::Model(e.to_string()))
-    }
-}
-
-impl Serialize for ModelSpec {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("name".to_string(), self.name.to_value()),
-            ("coding".to_string(), coding_to_value(self.coding)),
-            ("time_steps".to_string(), self.time_steps.to_value()),
-            ("threshold".to_string(), self.threshold.to_value()),
-            (
-                "ttfs_tau_fraction".to_string(),
-                self.ttfs_tau_fraction.to_value(),
-            ),
-            ("scaling".to_string(), self.scaling.to_value()),
-            ("noise".to_string(), self.noise.to_value()),
-            ("master_seed".to_string(), seed_to_value(self.master_seed)),
-            ("layers".to_string(), self.layers.to_value()),
-            ("weights".to_string(), self.weights.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ModelSpec {
-    fn from_value(value: &Value) -> std::result::Result<Self, DeError> {
+        let record =
+            nrsnn_wire::decode_model(bytes).map_err(|e| ServeError::Model(e.to_string()))?;
         Ok(ModelSpec {
-            name: field(value, "name")?,
-            coding: coding_from_value(
-                value
-                    .get("coding")
-                    .ok_or_else(|| DeError::new("missing field \"coding\""))?,
-            )?,
-            time_steps: field(value, "time_steps")?,
-            threshold: field(value, "threshold")?,
-            ttfs_tau_fraction: field(value, "ttfs_tau_fraction")?,
-            scaling: field(value, "scaling")?,
-            noise: field(value, "noise")?,
-            master_seed: seed_from_value(
-                value
-                    .get("master_seed")
-                    .ok_or_else(|| DeError::new("missing field \"master_seed\""))?,
-            )?,
-            layers: field(value, "layers")?,
-            weights: field(value, "weights")?,
+            name: record.name,
+            coding: record.coding,
+            time_steps: record.time_steps,
+            threshold: record.threshold,
+            ttfs_tau_fraction: record.ttfs_tau_fraction,
+            scaling: record.scaling,
+            noise: record.noise,
+            master_seed: record.master_seed,
+            layers: record.layers,
+            weights: record.weights,
         })
     }
 }
@@ -575,7 +299,7 @@ pub struct ServedModel {
     pub config: CodingConfig,
     /// The warm noise transform.
     pub noise: Box<dyn SpikeTransform>,
-    /// The serializable description of `noise`.
+    /// The description of `noise`.
     pub noise_spec: NoiseSpec,
     /// Weight-scaling factor folded into the network.
     pub scaling: f32,
@@ -614,7 +338,7 @@ impl ServedModel {
             coding_kind: coding,
             coding: coding.build(),
             config,
-            noise: noise.build()?,
+            noise: build_noise(&noise)?,
             noise_spec: noise,
             scaling,
             master_seed,
@@ -627,7 +351,7 @@ impl ServedModel {
         self.network.input_width()
     }
 
-    /// Re-captures the model as a serializable specification.
+    /// Re-captures the model as a specification.
     pub fn to_spec(&self) -> ModelSpec {
         ModelSpec::from_network(
             self.name.clone(),
@@ -708,19 +432,9 @@ mod tests {
     }
 
     #[test]
-    fn spec_round_trips_through_json_exactly() {
-        let spec = toy_spec();
-        let json = spec.to_json();
-        let back = ModelSpec::from_json(&json).unwrap();
-        assert_eq!(back, spec);
-        // Parameter bytes survive the trip bit-for-bit.
-        assert_eq!(back.weights, spec.weights);
-    }
-
-    #[test]
     fn built_model_simulates_identically_to_the_source_network() {
         let spec = toy_spec();
-        let served = ModelSpec::from_json(&spec.to_json())
+        let served = ModelSpec::from_binary(&spec.to_binary().unwrap())
             .unwrap()
             .build()
             .unwrap();
@@ -761,25 +475,25 @@ mod tests {
 
     #[test]
     fn noise_specs_build_their_transforms() {
-        assert!(NoiseSpec::Clean.build().unwrap().is_identity());
+        assert!(build_noise(&NoiseSpec::Clean).unwrap().is_identity());
         assert_eq!(
-            NoiseSpec::Deletion(0.4).build().unwrap().describe(),
+            build_noise(&NoiseSpec::Deletion(0.4)).unwrap().describe(),
             "deletion(p=0.4)"
         );
-        assert!(NoiseSpec::Jitter(-1.0).build().is_err());
-        assert!(NoiseSpec::Deletion(1.5).build().is_err());
+        assert!(build_noise(&NoiseSpec::Jitter(-1.0)).is_err());
+        assert!(build_noise(&NoiseSpec::Deletion(1.5)).is_err());
         let composite =
             NoiseSpec::Composite(vec![NoiseSpec::Deletion(0.2), NoiseSpec::Jitter(1.0)]);
-        assert!(composite.build().is_ok());
+        assert!(build_noise(&composite).is_ok());
         let nested = NoiseSpec::Composite(vec![NoiseSpec::Composite(vec![])]);
-        assert!(nested.build().is_err());
+        assert!(build_noise(&nested).is_err());
     }
 
     #[test]
     fn large_master_seeds_round_trip() {
         let mut spec = toy_spec();
         spec.master_seed = u64::MAX - 12345;
-        let back = ModelSpec::from_json(&spec.to_json()).unwrap();
+        let back = ModelSpec::from_binary(&spec.to_binary().unwrap()).unwrap();
         assert_eq!(back.master_seed, spec.master_seed);
     }
 
@@ -792,8 +506,10 @@ mod tests {
             CodingKind::Ttfs,
             CodingKind::Ttas(7),
         ] {
-            let v = coding_to_value(kind);
-            assert_eq!(coding_from_value(&v).unwrap(), kind);
+            let mut spec = toy_spec();
+            spec.coding = kind;
+            let back = ModelSpec::from_binary(&spec.to_binary().unwrap()).unwrap();
+            assert_eq!(back.coding, kind);
         }
     }
 
@@ -822,7 +538,7 @@ mod tests {
             1.0,
             7,
         );
-        let served = ModelSpec::from_json(&spec.to_json())
+        let served = ModelSpec::from_binary(&spec.to_binary().unwrap())
             .unwrap()
             .build()
             .unwrap();

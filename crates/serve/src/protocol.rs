@@ -17,6 +17,11 @@
 //! <- {"type":"error","code":"busy","message":"server busy: ..."}
 //! ```
 //!
+//! The message types are defined once, in `nrsnn-wire`, next to their
+//! binary codec; this module re-exports them and adds the JSON codec
+//! ([`JsonCodec`]).  Trace spans carry `nrsnn-obs` taxonomy codes; the JSON
+//! codec spells them as stage and kernel names.
+//!
 //! Seeds travel as **strings** (`"seed":"42"`): JSON numbers are IEEE
 //! doubles, which would silently truncate seeds above 2^53 and break the
 //! bit-exact determinism contract.  Numeric seeds are still accepted on
@@ -24,21 +29,30 @@
 //! though it is representable, because 2^53 + 1 collides with it after
 //! parsing and could not be told apart).
 
+use nrsnn_obs::{KernelPath, Stage};
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use crate::{ServeError, ServerStats};
+pub use nrsnn_wire::{
+    InferenceReply, Request, RequestTrace, Response, ServerStats, StageLatency, TraceSpan,
+};
+
+use crate::ServeError;
 
 /// Largest integer exactly representable as an IEEE double (2^53).
 const MAX_EXACT_F64_INT: f64 = 9_007_199_254_740_992.0;
 
+/// Taxonomy code stored for a stage or kernel name outside the `nrsnn-obs`
+/// taxonomy (the same out-of-range code the binary wire carries).
+const UNKNOWN_CODE: u8 = u8::MAX;
+
 /// Encodes a seed for the wire (always a decimal string).
-pub(crate) fn seed_to_value(seed: u64) -> Value {
+fn seed_to_value(seed: u64) -> Value {
     Value::String(seed.to_string())
 }
 
 /// Decodes a seed from either a decimal string or an exactly-representable
 /// JSON number.
-pub(crate) fn seed_from_value(value: &Value) -> std::result::Result<u64, DeError> {
+fn seed_from_value(value: &Value) -> std::result::Result<u64, DeError> {
     match value {
         Value::String(s) => s
             .trim()
@@ -58,58 +72,76 @@ pub(crate) fn seed_from_value(value: &Value) -> std::result::Result<u64, DeError
     }
 }
 
-/// A client request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Classify one input vector under the named model.
-    Infer {
-        /// Registry name of the model.
-        model: String,
-        /// Request seed; together with the model's master seed it fully
-        /// determines the noise realisation (see
-        /// [`nrsnn_runtime::derive_seed`]).
-        seed: u64,
-        /// Dense input vector (must match the model's input width).
-        input: Vec<f32>,
-    },
-    /// Fetch the server's metrics snapshot.
-    Stats,
-    /// List the registered model names.
-    ListModels,
-    /// Liveness probe.
-    Ping,
-    /// Fetch the most recent request timelines from the flight recorder.
-    Trace {
-        /// Maximum number of recent timelines to return (retained outliers
-        /// — failed or slow requests — ride along on top of this budget).
-        last: usize,
-    },
+/// The JSON half of a protocol message's codec.  (The serde traits cannot
+/// be implemented here: neither they nor the message types belong to this
+/// crate.)
+pub trait JsonCodec: Sized {
+    /// Converts the message into the JSON data model.
+    fn to_json(&self) -> Value;
+
+    /// Rebuilds the message from the JSON data model.
+    ///
+    /// # Errors
+    /// Returns [`DeError`] when the value has the wrong shape.
+    fn from_json(value: &Value) -> std::result::Result<Self, DeError>;
 }
 
-impl Serialize for Request {
-    fn to_value(&self) -> Value {
+/// The field `key` of a `what` object.
+fn get_field<'a>(
+    value: &'a Value,
+    what: &str,
+    key: &str,
+) -> std::result::Result<&'a Value, DeError> {
+    value
+        .get(key)
+        .ok_or_else(|| DeError::new(format!("{what} missing field {key:?}")))
+}
+
+fn array_to_json<T: JsonCodec>(items: &[T]) -> Value {
+    Value::Array(items.iter().map(T::to_json).collect())
+}
+
+fn array_from_json<T: JsonCodec>(value: &Value) -> std::result::Result<Vec<T>, DeError> {
+    value
+        .as_array()
+        .ok_or_else(|| DeError::new(format!("expected array, got {value:?}")))?
+        .iter()
+        .map(T::from_json)
+        .collect()
+}
+
+/// A JSON object with `fields`, in order.
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(fields.map(|(key, v)| (key.to_string(), v)).into())
+}
+
+/// A protocol message: its `"type"` discriminator, then `fields`.
+fn typed_object<const N: usize>(type_name: &str, fields: [(&str, Value); N]) -> Value {
+    let mut entries = Vec::with_capacity(N + 1);
+    entries.push(("type".to_string(), type_name.to_value()));
+    entries.extend(fields.map(|(key, v)| (key.to_string(), v)));
+    Value::Object(entries)
+}
+
+impl JsonCodec for Request {
+    fn to_json(&self) -> Value {
         match self {
-            Request::Infer { model, seed, input } => Value::Object(vec![
-                ("type".to_string(), "infer".to_value()),
-                ("model".to_string(), model.to_value()),
-                ("seed".to_string(), seed_to_value(*seed)),
-                ("input".to_string(), input.to_value()),
-            ]),
-            Request::Stats => Value::Object(vec![("type".to_string(), "stats".to_value())]),
-            Request::ListModels => {
-                Value::Object(vec![("type".to_string(), "list_models".to_value())])
-            }
-            Request::Ping => Value::Object(vec![("type".to_string(), "ping".to_value())]),
-            Request::Trace { last } => Value::Object(vec![
-                ("type".to_string(), "trace".to_value()),
-                ("last".to_string(), last.to_value()),
-            ]),
+            Request::Infer { model, seed, input } => typed_object(
+                "infer",
+                [
+                    ("model", model.to_value()),
+                    ("seed", seed_to_value(*seed)),
+                    ("input", input.to_value()),
+                ],
+            ),
+            Request::Stats => typed_object("stats", []),
+            Request::ListModels => typed_object("list_models", []),
+            Request::Ping => typed_object("ping", []),
+            Request::Trace { last } => typed_object("trace", [("last", last.to_value())]),
         }
     }
-}
 
-impl Deserialize for Request {
-    fn from_value(value: &Value) -> std::result::Result<Self, DeError> {
+    fn from_json(value: &Value) -> std::result::Result<Self, DeError> {
         let kind: String = value
             .get("type")
             .ok_or_else(|| DeError::new("request is missing \"type\""))
@@ -145,51 +177,25 @@ impl Deserialize for Request {
     }
 }
 
-/// The successful result of one inference request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InferenceReply {
-    /// The model that served the request.
-    pub model: String,
-    /// Index of the winning output neuron.
-    pub predicted: usize,
-    /// Output-layer activations, bit-identical to the offline
-    /// `simulate_with` path for the same `(master_seed, request seed)`.
-    pub logits: Vec<f32>,
-    /// Total spikes transmitted during the inference (after noise).
-    pub total_spikes: usize,
-    /// End-to-end latency observed by the server (queue + batch wait +
-    /// simulation), in microseconds.
-    pub latency_us: u64,
-    /// Server-unique id of this request's recorded timeline; resolve it
-    /// with a `trace` request.  `0` means tracing was disabled.  Like
-    /// `latency_us`, this is observability metadata and not part of the
-    /// deterministic reply contract.
-    pub trace_id: u64,
-}
-
-impl Serialize for InferenceReply {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("type".to_string(), "infer".to_value()),
-            ("model".to_string(), self.model.to_value()),
-            ("predicted".to_string(), self.predicted.to_value()),
-            ("logits".to_string(), self.logits.to_value()),
-            ("total_spikes".to_string(), self.total_spikes.to_value()),
-            ("latency_us".to_string(), self.latency_us.to_value()),
-            // Encoded like seeds: trace ids are u64 counters and must not
-            // be rounded through an IEEE double.
-            ("trace_id".to_string(), seed_to_value(self.trace_id)),
-        ])
+impl JsonCodec for InferenceReply {
+    fn to_json(&self) -> Value {
+        typed_object(
+            "infer",
+            [
+                ("model", self.model.to_value()),
+                ("predicted", self.predicted.to_value()),
+                ("logits", self.logits.to_value()),
+                ("total_spikes", self.total_spikes.to_value()),
+                ("latency_us", self.latency_us.to_value()),
+                // Encoded like seeds: trace ids are u64 counters and must
+                // not be rounded through an IEEE double.
+                ("trace_id", seed_to_value(self.trace_id)),
+            ],
+        )
     }
-}
 
-impl Deserialize for InferenceReply {
-    fn from_value(value: &Value) -> std::result::Result<Self, DeError> {
-        let field = |key: &str| {
-            value
-                .get(key)
-                .ok_or_else(|| DeError::new(format!("infer reply missing field {key:?}")))
-        };
+    fn from_json(value: &Value) -> std::result::Result<Self, DeError> {
+        let field = |key: &str| get_field(value, "infer reply", key);
         Ok(InferenceReply {
             model: String::from_value(field("model")?)?,
             predicted: usize::from_value(field("predicted")?)?,
@@ -205,63 +211,125 @@ impl Deserialize for InferenceReply {
     }
 }
 
-/// One stage of a recorded request timeline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceSpan {
-    /// Stage name (`queue_wait`, `batch_assembly`, `encode`, `noise`,
-    /// `decode`, `simulate`, `reply_serialize`).
-    pub stage: String,
-    /// Network layer the stage ran on, when the stage is per-layer.
-    pub layer: Option<u32>,
-    /// Start of the span, nanoseconds since the server's monotonic epoch.
-    pub start_ns: u64,
-    /// End of the span, nanoseconds since the server's monotonic epoch.
-    pub end_ns: u64,
-    /// Kernel path tag of a `simulate` span: `"dense"` from this server
-    /// (`"sparse"` is a reserved wire value).
-    pub kernel: Option<String>,
-    /// Measured density of the raster the layer received (0 for stages
-    /// where density is not meaningful).
-    pub density: f32,
+impl JsonCodec for StageLatency {
+    fn to_json(&self) -> Value {
+        object([
+            ("stage", self.stage.to_value()),
+            ("p50_ns", self.p50_ns.to_value()),
+            ("p99_ns", self.p99_ns.to_value()),
+        ])
+    }
+
+    fn from_json(value: &Value) -> std::result::Result<Self, DeError> {
+        let field = |key: &str| get_field(value, "stage latency", key);
+        Ok(StageLatency {
+            stage: String::from_value(field("stage")?)?,
+            p50_ns: u64::from_value(field("p50_ns")?)?,
+            p99_ns: u64::from_value(field("p99_ns")?)?,
+        })
+    }
 }
 
-impl Serialize for TraceSpan {
-    fn to_value(&self) -> Value {
+impl JsonCodec for ServerStats {
+    fn to_json(&self) -> Value {
+        object([
+            ("requests_received", self.requests_received.to_value()),
+            ("requests_served", self.requests_served.to_value()),
+            ("rejected_busy", self.rejected_busy.to_value()),
+            ("failed", self.failed.to_value()),
+            ("batches", self.batches.to_value()),
+            ("batch_size_histogram", self.batch_size_histogram.to_value()),
+            ("mean_batch_size", self.mean_batch_size.to_value()),
+            ("p50_latency_us", self.p50_latency_us.to_value()),
+            ("p99_latency_us", self.p99_latency_us.to_value()),
+            ("mean_latency_us", self.mean_latency_us.to_value()),
+            ("total_spikes", self.total_spikes.to_value()),
+            ("spikes_per_inference", self.spikes_per_inference.to_value()),
+            ("batch_size_offset", self.batch_size_offset.to_value()),
+            ("p999_latency_us", self.p999_latency_us.to_value()),
+            ("stage_latency_ns", array_to_json(&self.stage_latency_ns)),
+        ])
+    }
+
+    fn from_json(value: &Value) -> std::result::Result<Self, DeError> {
+        let field = |key: &str| get_field(value, "stats", key);
+        Ok(ServerStats {
+            requests_received: u64::from_value(field("requests_received")?)?,
+            requests_served: u64::from_value(field("requests_served")?)?,
+            rejected_busy: u64::from_value(field("rejected_busy")?)?,
+            failed: u64::from_value(field("failed")?)?,
+            batches: u64::from_value(field("batches")?)?,
+            batch_size_histogram: Vec::<u64>::from_value(field("batch_size_histogram")?)?,
+            mean_batch_size: f64::from_value(field("mean_batch_size")?)?,
+            p50_latency_us: u64::from_value(field("p50_latency_us")?)?,
+            p99_latency_us: u64::from_value(field("p99_latency_us")?)?,
+            mean_latency_us: f64::from_value(field("mean_latency_us")?)?,
+            total_spikes: u64::from_value(field("total_spikes")?)?,
+            spikes_per_inference: f64::from_value(field("spikes_per_inference")?)?,
+            // The three observability fields are additive (introduced after
+            // the first stats consumers shipped): absent fields decode to
+            // their zero values so older snapshots keep round-tripping.
+            batch_size_offset: match value.get("batch_size_offset") {
+                Some(v) => u64::from_value(v)?,
+                None => 0,
+            },
+            p999_latency_us: match value.get("p999_latency_us") {
+                Some(v) => u64::from_value(v)?,
+                None => 0,
+            },
+            stage_latency_ns: match value.get("stage_latency_ns") {
+                Some(v) => array_from_json(v)?,
+                None => Vec::new(),
+            },
+        })
+    }
+}
+
+impl JsonCodec for TraceSpan {
+    /// Spells the stage and kernel codes as their `nrsnn-obs` names.  An
+    /// out-of-taxonomy stage code becomes the empty name; an
+    /// out-of-taxonomy kernel code is omitted like "no kernel".
+    fn to_json(&self) -> Value {
+        let stage = Stage::from_code(self.stage).map_or("", Stage::as_str);
         let mut fields = vec![
-            ("stage".to_string(), self.stage.to_value()),
+            ("stage".to_string(), stage.to_value()),
             ("start_ns".to_string(), seed_to_value(self.start_ns)),
             ("end_ns".to_string(), seed_to_value(self.end_ns)),
         ];
         if let Some(layer) = self.layer {
             fields.push(("layer".to_string(), layer.to_value()));
         }
-        if let Some(kernel) = &self.kernel {
+        if let Some(kernel) = KernelPath::from_code(self.kernel).and_then(KernelPath::as_str) {
             fields.push(("kernel".to_string(), kernel.to_value()));
             fields.push(("density".to_string(), self.density.to_value()));
         }
         Value::Object(fields)
     }
-}
 
-impl Deserialize for TraceSpan {
-    fn from_value(value: &Value) -> std::result::Result<Self, DeError> {
-        let field = |key: &str| {
-            value
-                .get(key)
-                .ok_or_else(|| DeError::new(format!("trace span missing field {key:?}")))
+    /// Maps names back to codes; a name outside the taxonomy is stored as
+    /// [`u8::MAX`].
+    fn from_json(value: &Value) -> std::result::Result<Self, DeError> {
+        let field = |key: &str| get_field(value, "trace span", key);
+        let stage = String::from_value(field("stage")?)?;
+        let kernel = match value.get("kernel") {
+            Some(v) => {
+                let name = String::from_value(v)?;
+                [KernelPath::Dense, KernelPath::Sparse]
+                    .into_iter()
+                    .find(|k| k.as_str() == Some(name.as_str()))
+                    .map_or(UNKNOWN_CODE, KernelPath::code)
+            }
+            None => KernelPath::None.code(),
         };
         Ok(TraceSpan {
-            stage: String::from_value(field("stage")?)?,
+            stage: Stage::from_name(&stage).map_or(UNKNOWN_CODE, Stage::code),
             layer: match value.get("layer") {
                 Some(v) => Some(u32::from_value(v)?),
                 None => None,
             },
             start_ns: seed_from_value(field("start_ns")?)?,
             end_ns: seed_from_value(field("end_ns")?)?,
-            kernel: match value.get("kernel") {
-                Some(v) => Some(String::from_value(v)?),
-                None => None,
-            },
+            kernel,
             density: match value.get("density") {
                 Some(v) => f32::from_value(v)?,
                 None => 0.0,
@@ -270,65 +338,24 @@ impl Deserialize for TraceSpan {
     }
 }
 
-/// One request's full recorded timeline, as returned by a `trace` request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RequestTrace {
-    /// Server-unique id echoed in the request's inference reply.
-    pub trace_id: u64,
-    /// Name of the model that served the request.
-    pub model: String,
-    /// The request's seed.
-    pub seed: u64,
-    /// Index of the batcher worker that ran the request.
-    pub worker: u32,
-    /// Request admission time, nanoseconds since the server's monotonic
-    /// epoch.
-    pub start_ns: u64,
-    /// Reply-ready time, nanoseconds since the server's monotonic epoch.
-    pub end_ns: u64,
-    /// Whether the request succeeded (failed requests are retained as
-    /// outliers with an empty span list).
-    pub ok: bool,
-    /// SIMD backend active on the worker (`scalar` or `avx2`).
-    pub backend: String,
-    /// Per-stage breakdown tiling `start_ns..end_ns`.
-    pub spans: Vec<TraceSpan>,
-    /// Spans discarded because the preallocated span buffer was full
-    /// (always 0 with the current fixed taxonomy).
-    pub dropped_spans: u32,
-}
-
-impl RequestTrace {
-    /// End-to-end duration of the request in nanoseconds.
-    pub fn duration_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.start_ns)
-    }
-}
-
-impl Serialize for RequestTrace {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("trace_id".to_string(), seed_to_value(self.trace_id)),
-            ("model".to_string(), self.model.to_value()),
-            ("seed".to_string(), seed_to_value(self.seed)),
-            ("worker".to_string(), self.worker.to_value()),
-            ("start_ns".to_string(), seed_to_value(self.start_ns)),
-            ("end_ns".to_string(), seed_to_value(self.end_ns)),
-            ("ok".to_string(), self.ok.to_value()),
-            ("backend".to_string(), self.backend.to_value()),
-            ("spans".to_string(), self.spans.to_value()),
-            ("dropped_spans".to_string(), self.dropped_spans.to_value()),
+impl JsonCodec for RequestTrace {
+    fn to_json(&self) -> Value {
+        object([
+            ("trace_id", seed_to_value(self.trace_id)),
+            ("model", self.model.to_value()),
+            ("seed", seed_to_value(self.seed)),
+            ("worker", self.worker.to_value()),
+            ("start_ns", seed_to_value(self.start_ns)),
+            ("end_ns", seed_to_value(self.end_ns)),
+            ("ok", self.ok.to_value()),
+            ("backend", self.backend.to_value()),
+            ("spans", array_to_json(&self.spans)),
+            ("dropped_spans", self.dropped_spans.to_value()),
         ])
     }
-}
 
-impl Deserialize for RequestTrace {
-    fn from_value(value: &Value) -> std::result::Result<Self, DeError> {
-        let field = |key: &str| {
-            value
-                .get(key)
-                .ok_or_else(|| DeError::new(format!("request trace missing field {key:?}")))
-        };
+    fn from_json(value: &Value) -> std::result::Result<Self, DeError> {
+        let field = |key: &str| get_field(value, "request trace", key);
         Ok(RequestTrace {
             trace_id: seed_from_value(field("trace_id")?)?,
             model: String::from_value(field("model")?)?,
@@ -338,103 +365,35 @@ impl Deserialize for RequestTrace {
             end_ns: seed_from_value(field("end_ns")?)?,
             ok: bool::from_value(field("ok")?)?,
             backend: String::from_value(field("backend")?)?,
-            spans: Vec::<TraceSpan>::from_value(field("spans")?)?,
+            spans: array_from_json(field("spans")?)?,
             dropped_spans: u32::from_value(field("dropped_spans")?)?,
         })
     }
 }
 
-/// A server response.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Successful inference.
-    Infer(InferenceReply),
-    /// Metrics snapshot.
-    Stats(ServerStats),
-    /// Registered model names.
-    Models(Vec<String>),
-    /// Liveness answer.
-    Pong,
-    /// Recent request timelines from the flight recorder, newest first.
-    Trace(Vec<RequestTrace>),
-    /// Any failure, carrying the stable error code and a human-readable
-    /// message.
-    Error {
-        /// Stable machine-readable code (see [`ServeError::code`]).
-        code: String,
-        /// Human-readable description.
-        message: String,
-    },
-}
-
-impl Response {
-    /// Wraps a [`ServeError`] for the wire.
-    pub fn from_error(error: &ServeError) -> Response {
-        Response::Error {
-            code: error.code().to_string(),
-            message: error.to_string(),
-        }
-    }
-
-    /// Converts an error response back into a [`ServeError`] (best-effort:
-    /// the structured payload of the original error is not on the wire, so
-    /// at most the code survives — `"busy"` loses its capacity value, and
-    /// `"input_mismatch"` degrades to [`ServeError::InvalidRequest`]
-    /// because its model/width fields cannot be reconstructed from the
-    /// message).
-    pub fn into_result(self) -> std::result::Result<Response, ServeError> {
+impl JsonCodec for Response {
+    fn to_json(&self) -> Value {
         match self {
-            Response::Error { code, message } => Err(match code.as_str() {
-                "busy" => ServeError::Busy { capacity: 0 },
-                "shutting_down" => ServeError::ShuttingDown,
-                "unknown_model" => ServeError::UnknownModel(message),
-                "input_mismatch" => ServeError::InvalidRequest(message),
-                "model" => ServeError::Model(message),
-                "simulation" => ServeError::Simulation(message),
-                "internal" => ServeError::Internal(message),
-                "io" => ServeError::Io(message),
-                _ => ServeError::InvalidRequest(message),
-            }),
-            other => Ok(other),
+            Response::Infer(reply) => reply.to_json(),
+            Response::Stats(stats) => typed_object("stats", [("stats", stats.to_json())]),
+            Response::Models(models) => typed_object("models", [("models", models.to_value())]),
+            Response::Pong => typed_object("pong", []),
+            Response::Trace(traces) => typed_object("trace", [("traces", array_to_json(traces))]),
+            Response::Error { code, message } => typed_object(
+                "error",
+                [("code", code.to_value()), ("message", message.to_value())],
+            ),
         }
     }
-}
 
-impl Serialize for Response {
-    fn to_value(&self) -> Value {
-        match self {
-            Response::Infer(reply) => reply.to_value(),
-            Response::Stats(stats) => Value::Object(vec![
-                ("type".to_string(), "stats".to_value()),
-                ("stats".to_string(), stats.to_value()),
-            ]),
-            Response::Models(models) => Value::Object(vec![
-                ("type".to_string(), "models".to_value()),
-                ("models".to_string(), models.to_value()),
-            ]),
-            Response::Pong => Value::Object(vec![("type".to_string(), "pong".to_value())]),
-            Response::Trace(traces) => Value::Object(vec![
-                ("type".to_string(), "trace".to_value()),
-                ("traces".to_string(), traces.to_value()),
-            ]),
-            Response::Error { code, message } => Value::Object(vec![
-                ("type".to_string(), "error".to_value()),
-                ("code".to_string(), code.to_value()),
-                ("message".to_string(), message.to_value()),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for Response {
-    fn from_value(value: &Value) -> std::result::Result<Self, DeError> {
+    fn from_json(value: &Value) -> std::result::Result<Self, DeError> {
         let kind: String = value
             .get("type")
             .ok_or_else(|| DeError::new("response is missing \"type\""))
             .and_then(String::from_value)?;
         match kind.as_str() {
-            "infer" => Ok(Response::Infer(InferenceReply::from_value(value)?)),
-            "stats" => Ok(Response::Stats(ServerStats::from_value(
+            "infer" => Ok(Response::Infer(InferenceReply::from_json(value)?)),
+            "stats" => Ok(Response::Stats(ServerStats::from_json(
                 value
                     .get("stats")
                     .ok_or_else(|| DeError::new("stats response missing \"stats\""))?,
@@ -446,12 +405,11 @@ impl Deserialize for Response {
                     .and_then(Vec::<String>::from_value)?,
             )),
             "pong" => Ok(Response::Pong),
-            "trace" => Ok(Response::Trace(
+            "trace" => Ok(Response::Trace(array_from_json(
                 value
                     .get("traces")
-                    .ok_or_else(|| DeError::new("trace response missing \"traces\""))
-                    .and_then(Vec::<RequestTrace>::from_value)?,
-            )),
+                    .ok_or_else(|| DeError::new("trace response missing \"traces\""))?,
+            )?)),
             "error" => {
                 let field = |key: &str| {
                     value
@@ -469,12 +427,51 @@ impl Deserialize for Response {
     }
 }
 
+/// Wraps a [`ServeError`] for the wire.
+pub fn error_response(error: &ServeError) -> Response {
+    Response::Error {
+        code: error.code().to_string(),
+        message: error.to_string(),
+    }
+}
+
+/// Converts an error response back into a [`ServeError`] (best-effort: the
+/// structured payload of the original error is not on the wire, so at most
+/// the code survives — `"busy"` loses its capacity value, and
+/// `"input_mismatch"` degrades to [`ServeError::InvalidRequest`] because its
+/// model/width fields cannot be reconstructed from the message).  Any other
+/// response passes through.
+///
+/// # Errors
+/// The decoded [`ServeError`] of an error response.
+pub fn into_result(response: Response) -> crate::Result<Response> {
+    match response {
+        Response::Error { code, message } => Err(match code.as_str() {
+            "busy" => ServeError::Busy { capacity: 0 },
+            "shutting_down" => ServeError::ShuttingDown,
+            "unknown_model" => ServeError::UnknownModel(message),
+            "input_mismatch" => ServeError::InvalidRequest(message),
+            "model" => ServeError::Model(message),
+            "simulation" => ServeError::Simulation(message),
+            "internal" => ServeError::Internal(message),
+            "io" => ServeError::Io(message),
+            _ => ServeError::InvalidRequest(message),
+        }),
+        other => Ok(other),
+    }
+}
+
 /// Serializes a request or response as one newline-terminated wire line.
-pub fn encode_line<T: Serialize>(value: &T) -> String {
-    // UNWRAP: infallible — request/response types serialize to plain structs and enums the JSON shim always accepts.
-    let mut line = serde_json::to_string(value).expect("shim serialization is infallible");
+pub fn encode_line<T: JsonCodec>(value: &T) -> String {
+    let mut line = value.to_json().to_string();
     line.push('\n');
     line
+}
+
+/// Parses one wire line into a message.
+fn parse_line<T: JsonCodec>(line: &str) -> std::result::Result<T, serde_json::Error> {
+    let value: Value = serde_json::from_str(line.trim())?;
+    Ok(T::from_json(&value)?)
 }
 
 /// Parses one wire line into a request.
@@ -483,7 +480,7 @@ pub fn encode_line<T: Serialize>(value: &T) -> String {
 /// Returns [`ServeError::InvalidRequest`] on malformed JSON or schema
 /// mismatch.
 pub fn decode_request(line: &str) -> crate::Result<Request> {
-    serde_json::from_str(line.trim()).map_err(|e| ServeError::InvalidRequest(e.to_string()))
+    parse_line(line).map_err(|e| ServeError::InvalidRequest(e.to_string()))
 }
 
 /// Parses one wire line into a response.
@@ -492,7 +489,7 @@ pub fn decode_request(line: &str) -> crate::Result<Request> {
 /// Returns [`ServeError::Io`] on malformed JSON or schema mismatch (a
 /// malformed response means the transport, not the request, is broken).
 pub fn decode_response(line: &str) -> crate::Result<Response> {
-    serde_json::from_str(line.trim()).map_err(|e| ServeError::Io(e.to_string()))
+    parse_line(line).map_err(|e| ServeError::Io(e.to_string()))
 }
 
 #[cfg(test)]
@@ -620,19 +617,19 @@ mod tests {
             backend: "sse2".to_string(),
             spans: vec![
                 TraceSpan {
-                    stage: "queue_wait".to_string(),
+                    stage: Stage::QueueWait.code(),
                     layer: None,
                     start_ns: 1_000,
                     end_ns: 2_000,
-                    kernel: None,
+                    kernel: KernelPath::None.code(),
                     density: 0.0,
                 },
                 TraceSpan {
-                    stage: "simulate".to_string(),
+                    stage: Stage::Simulate.code(),
                     layer: Some(1),
                     start_ns: 2_000,
                     end_ns: 9_000,
-                    kernel: Some("sparse".to_string()),
+                    kernel: KernelPath::Sparse.code(),
                     density: 0.125,
                 },
             ],
@@ -645,14 +642,48 @@ mod tests {
 
     #[test]
     fn error_responses_map_back_to_typed_errors() {
-        let wire = encode_line(&Response::from_error(&ServeError::Busy { capacity: 8 }));
-        let back = decode_response(&wire).unwrap().into_result();
+        let wire = encode_line(&error_response(&ServeError::Busy { capacity: 8 }));
+        let back = into_result(decode_response(&wire).unwrap());
         assert!(matches!(back, Err(ServeError::Busy { .. })));
-        let wire = encode_line(&Response::from_error(&ServeError::ShuttingDown));
+        let wire = encode_line(&error_response(&ServeError::ShuttingDown));
         assert!(matches!(
-            decode_response(&wire).unwrap().into_result(),
+            into_result(decode_response(&wire).unwrap()),
             Err(ServeError::ShuttingDown)
         ));
+    }
+
+    #[test]
+    fn every_stage_and_kernel_name_survives_the_code_mapping() {
+        for stage in Stage::ALL {
+            for kernel in [KernelPath::None, KernelPath::Dense, KernelPath::Sparse] {
+                let span = TraceSpan {
+                    stage: stage.code(),
+                    layer: Some(0),
+                    start_ns: 0,
+                    end_ns: 1,
+                    kernel: kernel.code(),
+                    density: if kernel == KernelPath::None { 0.0 } else { 0.5 },
+                };
+                let json = span.to_json();
+                assert_eq!(
+                    json.get("stage").and_then(Value::as_str),
+                    Some(stage.as_str())
+                );
+                assert_eq!(json.get("kernel").and_then(Value::as_str), kernel.as_str());
+                assert_eq!(TraceSpan::from_json(&json).unwrap(), span);
+            }
+        }
+    }
+
+    #[test]
+    fn names_outside_the_taxonomy_decode_to_the_out_of_range_code() {
+        let line = r#"{"stage":"warp","start_ns":"0","end_ns":"1","kernel":"gpu","density":0.5}"#;
+        let span = TraceSpan::from_json(&serde_json::from_str(line).unwrap()).unwrap();
+        assert_eq!((span.stage, span.kernel), (u8::MAX, u8::MAX));
+        // ...and encode as the empty stage name with no kernel.
+        let json = span.to_json();
+        assert_eq!(json.get("stage").and_then(Value::as_str), Some(""));
+        assert!(json.get("kernel").is_none());
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //!
 //! The registry is populated before the server starts and is immutable
 //! afterwards, so the hot path reads it without locks.  Models enter it
-//! either fully built ([`ModelRegistry::insert`]) or from serialized
-//! [`ModelSpec`]s ([`ModelRegistry::load_json`] / [`ModelRegistry::load_file`]),
-//! whose parameters reuse the `NetworkWeights` container that trained DNNs
-//! are persisted with.
+//! either fully built ([`ModelRegistry::insert`]) or as [`ModelSpec`]s,
+//! in memory ([`ModelRegistry::register_spec`]) or from binary `NRSM` model
+//! files ([`ModelRegistry::load_binary`] / [`ModelRegistry::load_file`]).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -47,14 +46,6 @@ impl ModelRegistry {
         self.insert(spec.build()?)
     }
 
-    /// Parses a JSON model file and registers it.
-    ///
-    /// # Errors
-    /// Propagates parse, build and duplicate-name failures.
-    pub fn load_json(&mut self, json: &str) -> Result<()> {
-        self.register_spec(&ModelSpec::from_json(json)?)
-    }
-
     /// Parses a binary (`NRSM`) model file image and registers it.
     ///
     /// # Errors
@@ -63,23 +54,15 @@ impl ModelRegistry {
         self.register_spec(&ModelSpec::from_binary(bytes)?)
     }
 
-    /// Reads a model file from disk and registers it, sniffing the format
-    /// from the first byte: `N` (the `NRSM` magic) means binary, anything
-    /// else is treated as JSON (a JSON spec always starts with `{`).
+    /// Reads a binary (`NRSM`) model file from disk and registers it.
     ///
     /// # Errors
-    /// Propagates I/O, parse, build and duplicate-name failures.
+    /// [`ServeError::Model`] for an unreadable file or one that is not a
+    /// valid `NRSM` image; propagates build and duplicate-name failures.
     pub fn load_file<P: AsRef<Path>>(&mut self, path: P) -> Result<()> {
         let bytes = std::fs::read(path.as_ref())
             .map_err(|e| ServeError::Model(format!("read {}: {e}", path.as_ref().display())))?;
-        if bytes.first() == Some(&b'N') {
-            self.load_binary(&bytes)
-        } else {
-            let json = String::from_utf8(bytes).map_err(|e| {
-                ServeError::Model(format!("{}: not UTF-8: {e}", path.as_ref().display()))
-            })?;
-            self.load_json(&json)
-        }
+        self.load_binary(&bytes)
     }
 
     /// Index of the named model, if registered.
@@ -163,27 +146,33 @@ mod tests {
     }
 
     #[test]
-    fn loads_from_spec_json_and_file() {
-        let spec = toy_model("json-model").to_spec();
+    fn loads_from_spec_and_nrsm_file() {
+        let spec = toy_model("spec-model").to_spec();
         let mut registry = ModelRegistry::new();
-        registry.load_json(&spec.to_json()).unwrap();
-        assert!(registry.get("json-model").is_some());
+        registry.register_spec(&spec).unwrap();
+        assert!(registry.get("spec-model").is_some());
 
         let dir = std::env::temp_dir().join("nrsnn_serve_registry_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.json");
+        let path = dir.join("model.nrsm");
         let mut on_disk = spec.clone();
         on_disk.name = "disk-model".to_string();
-        std::fs::write(&path, on_disk.to_json()).unwrap();
+        std::fs::write(&path, on_disk.to_binary().unwrap()).unwrap();
         registry.load_file(&path).unwrap();
         assert!(registry.get("disk-model").is_some());
-        std::fs::remove_file(&path).ok();
 
+        // Anything but an NRSM image is a typed model error, JSON included.
+        std::fs::write(&path, "{\"name\":\"json-model\"}").unwrap();
         assert!(matches!(
-            registry.load_file(dir.join("missing.json")),
+            registry.load_file(&path),
             Err(ServeError::Model(_))
         ));
-        assert!(registry.load_json("{oops").is_err());
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(
+            registry.load_file(dir.join("missing.nrsm")),
+            Err(ServeError::Model(_))
+        ));
+        assert_eq!(registry.len(), 2);
     }
 
     #[test]
@@ -191,20 +180,16 @@ mod tests {
         // σ sizes the jitter shift table, so a hostile model file must be
         // refused at load time rather than attempt an unbounded allocation.
         for noise in [
-            NoiseSpec::Jitter(2.5),
-            NoiseSpec::Composite(vec![NoiseSpec::Deletion(0.1), NoiseSpec::Jitter(2.5)]),
+            NoiseSpec::Jitter(1e300),
+            NoiseSpec::Composite(vec![NoiseSpec::Deletion(0.1), NoiseSpec::Jitter(1e300)]),
         ] {
             let mut spec = toy_model("huge-sigma").to_spec();
             spec.noise = noise;
-            let json = spec.to_json().replace("\"sigma\":2.5", "\"sigma\":1e300");
-            assert!(json.contains("1e300"), "{json}");
-            let binary = ModelSpec::from_json(&json).unwrap().to_binary().unwrap();
+            let binary = spec.to_binary().unwrap();
             let mut registry = ModelRegistry::new();
-            for loaded in [registry.load_json(&json), registry.load_binary(&binary)] {
-                match loaded {
-                    Err(ServeError::Model(msg)) => assert!(msg.contains("sigma"), "{msg}"),
-                    other => panic!("expected a typed model error, got {other:?}"),
-                }
+            match registry.load_binary(&binary) {
+                Err(ServeError::Model(msg)) => assert!(msg.contains("sigma"), "{msg}"),
+                other => panic!("expected a typed model error, got {other:?}"),
             }
             assert!(registry.is_empty());
         }

@@ -28,12 +28,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use nrsnn_runtime::WorkerPool;
-use nrsnn_wire::{FrameHeader, FRAME_HEADER_LEN, FRAME_MAGIC};
+use nrsnn_wire::{Frame, FrameHeader, FRAME_HEADER_LEN, FRAME_MAGIC};
 
 use crate::batcher::{worker_loop, ServerCore};
-use crate::binary::{frame_to_request, frame_to_response, request_to_frame, response_to_frame};
+use crate::binary::{frame_to_request, frame_to_response, request_to_frame};
 use crate::protocol::{
-    decode_request, decode_response, encode_line, Request, RequestTrace, Response, TraceSpan,
+    decode_request, decode_response, encode_line, error_response, into_result, Request,
+    RequestTrace, Response, TraceSpan,
 };
 use crate::{InferenceReply, ModelRegistry, Result, ServeError, ServerConfig, ServerStats};
 
@@ -467,8 +468,8 @@ fn read_full_polling(
 
 /// Sends one response as a binary frame; returns `false` when the
 /// connection should be closed.
-fn write_response_frame(writer: &mut TcpStream, stop: &AtomicBool, response: &Response) -> bool {
-    match nrsnn_wire::encode_frame(&response_to_frame(response)) {
+fn write_response_frame(writer: &mut TcpStream, stop: &AtomicBool, response: Response) -> bool {
+    match nrsnn_wire::encode_frame(&Frame::Response(response)) {
         Ok(bytes) => write_all_polling(writer, &bytes, stop),
         Err(_) => false,
     }
@@ -502,7 +503,7 @@ fn handle_binary_connection(
             Ok(header) => header,
             Err(e) => {
                 let error = ServeError::InvalidRequest(e.to_string());
-                write_response_frame(writer, stop, &Response::from_error(&error));
+                write_response_frame(writer, stop, error_response(&error));
                 return;
             }
         };
@@ -518,9 +519,9 @@ fn handle_binary_connection(
             .and_then(frame_to_request)
         {
             Ok(request) => process_request(core, request),
-            Err(e) => Response::from_error(&e),
+            Err(e) => error_response(&e),
         };
-        if !write_response_frame(writer, stop, &response) {
+        if !write_response_frame(writer, stop, response) {
             return;
         }
     }
@@ -531,7 +532,7 @@ fn handle_binary_connection(
 /// connections, batching across requests).
 fn process_line(core: &ServerCore, line: &str) -> Response {
     match decode_request(line) {
-        Err(e) => Response::from_error(&e),
+        Err(e) => error_response(&e),
         Ok(request) => process_request(core, request),
     }
 }
@@ -551,7 +552,7 @@ fn process_request(core: &ServerCore, request: Request) -> Response {
                 .and_then(|slot| slot.wait())
             {
                 Ok(reply) => Response::Infer(reply),
-                Err(e) => Response::from_error(&e),
+                Err(e) => error_response(&e),
             }
         }
     }
@@ -582,11 +583,11 @@ fn fetch_traces(core: &ServerCore, last: usize) -> Vec<RequestTrace> {
                 .spans
                 .iter()
                 .map(|span| TraceSpan {
-                    stage: span.stage.as_str().to_string(),
+                    stage: span.stage.code(),
                     layer: span.layer,
                     start_ns: span.start_ns,
                     end_ns: span.end_ns,
-                    kernel: span.kernel.as_str().map(str::to_string),
+                    kernel: span.kernel.code(),
                     density: span.density,
                 })
                 .collect(),
@@ -740,7 +741,7 @@ impl TcpClient {
             seed,
             input: input.to_vec(),
         })?;
-        match response.into_result()? {
+        match into_result(response)? {
             Response::Infer(reply) => Ok(reply),
             other => Err(ServeError::Io(format!(
                 "expected an infer response, got {other:?}"
@@ -768,7 +769,7 @@ impl TcpClient {
     /// # Errors
     /// Transport failures as [`ServeError::Io`].
     pub fn stats(&mut self) -> Result<ServerStats> {
-        match self.request(&Request::Stats)?.into_result()? {
+        match into_result(self.request(&Request::Stats)?)? {
             Response::Stats(stats) => Ok(stats),
             other => Err(ServeError::Io(format!(
                 "expected a stats response, got {other:?}"
@@ -781,7 +782,7 @@ impl TcpClient {
     /// # Errors
     /// Transport failures as [`ServeError::Io`].
     pub fn models(&mut self) -> Result<Vec<String>> {
-        match self.request(&Request::ListModels)?.into_result()? {
+        match into_result(self.request(&Request::ListModels)?)? {
             Response::Models(models) => Ok(models),
             other => Err(ServeError::Io(format!(
                 "expected a models response, got {other:?}"
@@ -794,7 +795,7 @@ impl TcpClient {
     /// # Errors
     /// Transport failures as [`ServeError::Io`].
     pub fn ping(&mut self) -> Result<()> {
-        match self.request(&Request::Ping)?.into_result()? {
+        match into_result(self.request(&Request::Ping)?)? {
             Response::Pong => Ok(()),
             other => Err(ServeError::Io(format!("expected pong, got {other:?}"))),
         }
@@ -806,7 +807,7 @@ impl TcpClient {
     /// # Errors
     /// Transport failures as [`ServeError::Io`].
     pub fn trace(&mut self, last: usize) -> Result<Vec<RequestTrace>> {
-        match self.request(&Request::Trace { last })?.into_result()? {
+        match into_result(self.request(&Request::Trace { last })?)? {
             Response::Trace(traces) => Ok(traces),
             other => Err(ServeError::Io(format!(
                 "expected a trace response, got {other:?}"

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use nrsnn_runtime::derive_seed;
-use nrsnn_serve::{ModelRegistry, NoiseSpec, ServedModel, Server, ServerConfig};
+use nrsnn_serve::{build_noise, ModelRegistry, NoiseSpec, ServedModel, Server, ServerConfig};
 use nrsnn_snn::{CodingConfig, CodingKind, SimWorkspace, SnnLayer, SnnNetwork};
 use nrsnn_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -89,7 +89,7 @@ fn offline_logits(input: &[f32], request_seed: u64) -> (usize, Vec<u32>) {
     let network = toy_network();
     let coding = CodingKind::Ttas(3).build();
     let cfg = coding_config();
-    let noise = NoiseSpec::Deletion(0.35).build().unwrap();
+    let noise = build_noise(&NoiseSpec::Deletion(0.35)).unwrap();
     let mut ws = SimWorkspace::new();
     let mut rng = StdRng::seed_from_u64(derive_seed(MASTER_SEED, request_seed));
     let outcome = network

@@ -12,6 +12,7 @@
 
 use std::path::PathBuf;
 
+use nrsnn_obs::{KernelPath, Stage};
 use nrsnn_serve::protocol::{decode_request, decode_response, encode_line};
 use nrsnn_serve::{
     InferenceReply, Request, RequestTrace, Response, ServerStats, StageLatency, TraceSpan,
@@ -89,19 +90,19 @@ fn golden_responses() -> Vec<Response> {
             backend: "avx2".to_string(),
             spans: vec![
                 TraceSpan {
-                    stage: "queue_wait".to_string(),
+                    stage: Stage::QueueWait.code(),
                     layer: None,
                     start_ns: 1_000,
                     end_ns: 12_000,
-                    kernel: None,
+                    kernel: KernelPath::None.code(),
                     density: 0.0,
                 },
                 TraceSpan {
-                    stage: "simulate".to_string(),
+                    stage: Stage::Simulate.code(),
                     layer: Some(1),
                     start_ns: 12_000,
                     end_ns: 250_000,
-                    kernel: Some("dense".to_string()),
+                    kernel: KernelPath::Dense.code(),
                     density: 0.0625,
                 },
             ],

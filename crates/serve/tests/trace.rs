@@ -10,6 +10,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+use nrsnn_obs::{KernelPath, Stage};
 use nrsnn_serve::{
     ModelRegistry, NoiseSpec, RequestTrace, ServedModel, Server, ServerConfig, TcpClient,
 };
@@ -88,12 +89,12 @@ fn check_timeline(trace: &RequestTrace, context: &str) -> f64 {
     // The timeline starts in the queue and ends serializing the reply.
     assert_eq!(
         trace.spans.first().unwrap().stage,
-        "queue_wait",
+        Stage::QueueWait.code(),
         "{context}"
     );
     assert_eq!(
         trace.spans.last().unwrap().stage,
-        "reply_serialize",
+        Stage::ReplySerialize.code(),
         "{context}"
     );
 
@@ -119,18 +120,15 @@ fn check_timeline(trace: &RequestTrace, context: &str) -> f64 {
         );
         previous_end = span.end_ns;
         covered_ns += span.end_ns - span.start_ns;
-        if span.stage == "simulate" {
+        if span.stage == Stage::Simulate.code() {
             simulate_spans += 1;
             assert!(
                 span.layer.is_some(),
                 "{context}: simulate span without a layer tag"
             );
-            let kernel = span
-                .kernel
-                .as_deref()
-                .unwrap_or_else(|| panic!("{context}: simulate span without a kernel tag"));
             assert_eq!(
-                kernel, "dense",
+                span.kernel,
+                KernelPath::Dense.code(),
                 "{context}: every layer has one (dense) forward kernel"
             );
             assert!(

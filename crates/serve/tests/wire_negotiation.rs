@@ -13,7 +13,7 @@ use std::time::Duration;
 use nrsnn_serve::{ModelRegistry, NoiseSpec, ServedModel, Server, ServerConfig, TcpClient};
 use nrsnn_snn::{CodingConfig, CodingKind, SnnLayer, SnnNetwork};
 use nrsnn_tensor::Tensor;
-use nrsnn_wire::{encode_frame, read_frame, Frame, FRAME_MAGIC, WIRE_VERSION};
+use nrsnn_wire::{encode_frame, read_frame, Frame, Request, Response, FRAME_MAGIC, WIRE_VERSION};
 
 const MODEL: &str = "nego-toy";
 
@@ -66,7 +66,7 @@ fn raw_connect(addr: std::net::SocketAddr) -> TcpStream {
 /// robust if error policy ever adds throttling replies.
 fn expect_error_frame(stream: &mut TcpStream) -> (String, String) {
     match read_frame(stream).expect("server should answer with a frame") {
-        Frame::ErrorReply { code, message } => (code, message),
+        Frame::Response(Response::Error { code, message }) => (code, message),
         other => panic!("expected an error reply, got {other:?}"),
     }
 }
@@ -87,15 +87,18 @@ fn malformed_payload_gets_error_reply_and_connection_survives() {
 
     // The same connection still serves well-formed requests afterwards.
     stream
-        .write_all(&encode_frame(&Frame::PingRequest).unwrap())
-        .unwrap();
-    assert_eq!(read_frame(&mut stream).unwrap(), Frame::PongReply);
-    stream
-        .write_all(&encode_frame(&Frame::ListModelsRequest).unwrap())
+        .write_all(&encode_frame(&Frame::Request(Request::Ping)).unwrap())
         .unwrap();
     assert_eq!(
         read_frame(&mut stream).unwrap(),
-        Frame::ModelsReply(vec![MODEL.to_string()])
+        Frame::Response(Response::Pong)
+    );
+    stream
+        .write_all(&encode_frame(&Frame::Request(Request::ListModels)).unwrap())
+        .unwrap();
+    assert_eq!(
+        read_frame(&mut stream).unwrap(),
+        Frame::Response(Response::Models(vec![MODEL.to_string()]))
     );
     server.shutdown();
 }

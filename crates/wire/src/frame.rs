@@ -1,4 +1,5 @@
-//! Length-prefixed versioned framing for every serving-protocol message.
+//! Every serving-protocol message, defined once, with its binary codec:
+//! length-prefixed versioned frames.
 //!
 //! ```text
 //! frame   := magic:u8 (0xB5)  version:u8 (2)  payload_len:u32le  payload
@@ -13,11 +14,11 @@
 //! 0x11 InferReply           model:str  predicted:u64  logit_len:u32
 //!                           logits: f32 bits  total_spikes:u64  latency_us:u64
 //!                           trace_id:u64
-//! 0x12 StatsReply           see `StatsBody`
+//! 0x12 StatsReply           see `ServerStats::write`
 //! 0x13 ModelsReply          count:u32  (name:str)*
 //! 0x14 PongReply            (empty)
 //! 0x15 ErrorReply           code:str  message:str
-//! 0x16 TraceReply           count:u32  (trace: see `TraceBody`)*
+//! 0x16 TraceReply           count:u32  (trace: see `RequestTrace::write`)*
 //! 0x21 Raster               see the `raster` module
 //! ```
 //!
@@ -43,7 +44,7 @@ pub const FRAME_MAGIC: u8 = 0xB5;
 /// Version history:
 /// * `1` — initial format.
 /// * `2` — observability: `InferReply` gained a trailing `trace_id:u64`,
-///   `StatsBody` gained `batch_size_offset`, `p999_latency_us` and the
+///   `StatsReply` gained `batch_size_offset`, `p999_latency_us` and the
 ///   per-stage latency table, and the `TraceRequest`/`TraceReply` frames
 ///   were added.
 pub const WIRE_VERSION: u8 = 2;
@@ -102,87 +103,148 @@ impl FrameHeader {
     }
 }
 
-/// Server statistics snapshot — a field-for-field mirror of
-/// `nrsnn-serve`'s `ServerStats` (kept here because the dependency points
-/// the other way).  `nrsnn-serve` converts losslessly in both directions.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StatsBody {
-    /// Requests accepted into the queue.
-    pub requests_received: u64,
-    /// Requests answered successfully.
-    pub requests_served: u64,
-    /// Requests rejected because the queue was full.
-    pub rejected_busy: u64,
-    /// Requests that failed during processing.
-    pub failed: u64,
-    /// Batches executed.
-    pub batches: u64,
-    /// Histogram of executed batch sizes (index `i` counts batches of size
-    /// `batch_size_offset + i`).
-    pub batch_size_histogram: Vec<u64>,
-    /// Mean executed batch size.
-    pub mean_batch_size: f64,
-    /// p50 request latency in microseconds.
-    pub p50_latency_us: u64,
-    /// p99 request latency in microseconds.
-    pub p99_latency_us: u64,
-    /// Mean request latency in microseconds.
-    pub mean_latency_us: f64,
-    /// Total spikes across every inference.
-    pub total_spikes: u64,
-    /// Mean spikes per inference.
-    pub spikes_per_inference: f64,
-    /// Batch size counted by `batch_size_histogram[0]`.
-    pub batch_size_offset: u64,
-    /// p99.9 request latency in microseconds.
-    pub p999_latency_us: u64,
-    /// Per-stage latency percentiles, in nanoseconds.
-    pub stage_latency_ns: Vec<StageLatencyBody>,
+/// A client request.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Request {
+    /// Classify one input vector under the named model (`tag 0x01`).
+    Infer {
+        /// Registry name of the model.
+        model: String,
+        /// Request seed — full u64, values above 2^53 survive.  Together
+        /// with the model's master seed it fully determines the noise
+        /// realisation (the server mixes the two with `derive_seed`).
+        seed: u64,
+        /// Dense input vector (must match the model's input width).
+        input: Vec<f32>,
+    },
+    /// Fetch the server's metrics snapshot (`tag 0x02`).
+    Stats,
+    /// List the registered model names (`tag 0x03`).
+    ListModels,
+    /// Liveness probe (`tag 0x04`).
+    Ping,
+    /// Fetch the most recent request timelines from the flight recorder
+    /// (`tag 0x05`).
+    Trace {
+        /// Maximum number of recent timelines to return (retained outliers
+        /// — failed or slow requests — ride along on top of this budget).
+        /// Travels as a `u32`; larger values saturate.
+        last: usize,
+    },
 }
 
-/// One per-stage latency entry of a [`StatsBody`] — mirrors `nrsnn-serve`'s
-/// `StageLatency`.
+/// The successful result of one inference request (`tag 0x11`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct InferenceReply {
+    /// The model that served the request.
+    pub model: String,
+    /// Index of the winning output neuron.
+    pub predicted: usize,
+    /// Output-layer activations, bit-identical to the offline
+    /// `simulate_with` path for the same `(master_seed, request seed)`.
+    pub logits: Vec<f32>,
+    /// Total spikes transmitted during the inference (after noise).
+    pub total_spikes: usize,
+    /// End-to-end latency observed by the server (queue + batch wait +
+    /// simulation), in microseconds.
+    pub latency_us: u64,
+    /// Server-unique id of this request's recorded timeline; resolve it
+    /// with a `trace` request.  `0` means tracing was disabled.  Like
+    /// `latency_us`, this is observability metadata and not part of the
+    /// deterministic reply contract.
+    pub trace_id: u64,
+}
+
+/// p50/p99 of one pipeline stage, in nanoseconds (stage durations are
+/// often sub-microsecond, so µs granularity would collapse them to zero).
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct StageLatencyBody {
-    /// Stage name (`queue_wait`, `encode`, `simulate`, …).
+pub struct StageLatency {
+    /// Stage name (`"queue_wait"`, `"encode"`, … — see the span taxonomy
+    /// in docs/ARCHITECTURE.md).
     pub stage: String,
-    /// p50 stage duration in nanoseconds.
+    /// Median stage duration (ns, log-linear upper bound within ~3%).
     pub p50_ns: u64,
-    /// p99 stage duration in nanoseconds.
+    /// 99th-percentile stage duration (ns, same precision).
     pub p99_ns: u64,
 }
 
-/// Sentinel for "no layer" in a [`TraceSpanBody`]'s `layer` field.
-pub const TRACE_NO_LAYER: u32 = u32::MAX;
-
-/// One stage of a recorded request timeline — mirrors `nrsnn-serve`'s
-/// `TraceSpan`.
-///
-/// `stage` and `kernel` travel as small integer codes (the taxonomy of
-/// `nrsnn-obs`): stages `0..=6` are `queue_wait`, `batch_assembly`,
-/// `encode`, `noise`, `decode`, `simulate`, `reply_serialize`; kernels
-/// `0..=2` are none, `dense`, `sparse`.
+/// A point-in-time snapshot of the server's counters, as returned by the
+/// `stats` request (`tag 0x12`).
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct TraceSpanBody {
-    /// Stage code (`0..=6`).
+pub struct ServerStats {
+    /// Validly-addressed submits, whether admitted or rejected for
+    /// backpressure: at quiescence
+    /// `requests_received == requests_served + failed + rejected_busy`.
+    pub requests_received: u64,
+    /// Requests answered successfully.
+    pub requests_served: u64,
+    /// Requests rejected with a `busy` error (backpressure).
+    pub rejected_busy: u64,
+    /// Requests that failed after being queued.
+    pub failed: u64,
+    /// Batches executed.
+    pub batches: u64,
+    /// `batch_size_histogram[i]` = number of executed batches of size
+    /// `batch_size_offset + i`.  The zero head below the smallest executed
+    /// batch is trimmed at snapshot time: the histogram is either empty or
+    /// has nonzero first and last entries.
+    pub batch_size_histogram: Vec<u64>,
+    /// Mean requests per executed batch.
+    pub mean_batch_size: f64,
+    /// Median end-to-end latency (µs; log-linear bucket upper bound,
+    /// within ~3% of the true order statistic).
+    pub p50_latency_us: u64,
+    /// 99th-percentile end-to-end latency (µs, same precision).
+    pub p99_latency_us: u64,
+    /// Exact mean end-to-end latency in microseconds.
+    pub mean_latency_us: f64,
+    /// Total spikes transmitted across all served inferences.
+    pub total_spikes: u64,
+    /// Mean spikes per served inference.
+    pub spikes_per_inference: f64,
+    /// Batch size of `batch_size_histogram[0]` (0 when no batches ran).
+    pub batch_size_offset: u64,
+    /// 99.9th-percentile end-to-end latency (µs, same precision as p50).
+    pub p999_latency_us: u64,
+    /// Per-stage p50/p99 durations for every stage that recorded at least
+    /// one span (empty when tracing is disabled or pre-traffic).
+    pub stage_latency_ns: Vec<StageLatency>,
+}
+
+/// Sentinel for "no layer" in the encoded `layer` field of a
+/// [`TraceSpan`].
+const TRACE_NO_LAYER: u32 = u32::MAX;
+
+/// One stage of a recorded request timeline.
+///
+/// `stage` and `kernel` are the taxonomy codes of `nrsnn-obs`: stages
+/// `0..=6` are `queue_wait`, `batch_assembly`, `encode`, `noise`,
+/// `decode`, `simulate`, `reply_serialize`; kernels `0..=2` are none,
+/// `dense`, `sparse`.  A code outside those ranges names no stage or
+/// kernel.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TraceSpan {
+    /// Stage code.
     pub stage: u8,
-    /// Layer index, or [`TRACE_NO_LAYER`] when the stage is not per-layer.
-    pub layer: u32,
-    /// Start, nanoseconds since the server's monotonic epoch.
+    /// Network layer the stage ran on, when the stage is per-layer.
+    /// `Some(u32::MAX)` is reserved: it encodes as "no layer".
+    pub layer: Option<u32>,
+    /// Start of the span, nanoseconds since the server's monotonic epoch.
     pub start_ns: u64,
-    /// End, nanoseconds since the server's monotonic epoch.
+    /// End of the span, nanoseconds since the server's monotonic epoch.
     pub end_ns: u64,
-    /// Kernel-path code (`0` none, `1` dense, `2` sparse).
+    /// Kernel-path code of a `simulate` span (`1` dense from this server;
+    /// `2` sparse is a reserved value), `0` for other stages.
     pub kernel: u8,
-    /// Measured raster density for `simulate` spans, else `0`.
+    /// Measured density of the raster the layer received (0 for stages
+    /// where density is not meaningful).
     pub density: f32,
 }
 
-/// One request's recorded timeline — mirrors `nrsnn-serve`'s
-/// `RequestTrace`.
+/// One request's full recorded timeline, as returned by a `trace` request.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct TraceBody {
-    /// Server-unique trace id (echoed in the inference reply).
+pub struct RequestTrace {
+    /// Server-unique id echoed in the request's inference reply.
     pub trace_id: u64,
     /// Name of the model that served the request.
     pub model: String,
@@ -190,75 +252,62 @@ pub struct TraceBody {
     pub seed: u64,
     /// Index of the batcher worker that ran the request.
     pub worker: u32,
-    /// Admission time, nanoseconds since the server's monotonic epoch.
+    /// Request admission time, nanoseconds since the server's monotonic
+    /// epoch.
     pub start_ns: u64,
     /// Reply-ready time, nanoseconds since the server's monotonic epoch.
     pub end_ns: u64,
-    /// Whether the request succeeded.
+    /// Whether the request succeeded (failed requests are retained as
+    /// outliers with an empty span list).
     pub ok: bool,
-    /// SIMD backend active on the worker.
+    /// SIMD backend active on the worker (`scalar` or `avx2`).
     pub backend: String,
     /// Per-stage breakdown tiling `start_ns..end_ns`.
-    pub spans: Vec<TraceSpanBody>,
-    /// Spans discarded for lack of buffer space.
+    pub spans: Vec<TraceSpan>,
+    /// Spans discarded because the preallocated span buffer was full
+    /// (always 0 with the current fixed taxonomy).
     pub dropped_spans: u32,
 }
 
-/// Every message of the serving protocol, plus a standalone spike-raster
-/// frame for shard-to-shard transport.  Mirrors `nrsnn-serve`'s
-/// `Request`/`Response` types; the serve crate owns the conversions.
+impl RequestTrace {
+    /// End-to-end duration of the request in nanoseconds.
+    pub fn duration_ns(&self) -> u64 {
+        self.end_ns.saturating_sub(self.start_ns)
+    }
+}
+
+/// A server response.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
-    /// Run one inference (`tag 0x01`).
-    InferRequest {
-        /// Model name in the registry.
-        model: String,
-        /// Per-request seed — full u64, values above 2^53 survive.
-        seed: u64,
-        /// Flattened input activations.
-        input: Vec<f32>,
-    },
-    /// Ask for a statistics snapshot (`tag 0x02`).
-    StatsRequest,
-    /// Ask for the model list (`tag 0x03`).
-    ListModelsRequest,
-    /// Liveness probe (`tag 0x04`).
-    PingRequest,
-    /// Ask for the last `last` recorded request timelines (`tag 0x05`).
-    TraceRequest {
-        /// Maximum number of recent timelines to return.
-        last: u32,
-    },
-    /// A completed inference (`tag 0x11`).
-    InferReply {
-        /// Model that served the request.
-        model: String,
-        /// Argmax class index.
-        predicted: u64,
-        /// Output-layer logits, bit-exact.
-        logits: Vec<f32>,
-        /// Spikes emitted during the simulation.
-        total_spikes: u64,
-        /// Server-side latency in microseconds.
-        latency_us: u64,
-        /// Flight-recorder trace id (`0` when tracing is off).
-        trace_id: u64,
-    },
-    /// Statistics snapshot (`tag 0x12`).
-    StatsReply(StatsBody),
+pub enum Response {
+    /// Successful inference (`tag 0x11`).
+    Infer(InferenceReply),
+    /// Metrics snapshot (`tag 0x12`).
+    Stats(ServerStats),
     /// Registered model names (`tag 0x13`).
-    ModelsReply(Vec<String>),
+    Models(Vec<String>),
     /// Liveness answer (`tag 0x14`).
-    PongReply,
-    /// A typed failure (`tag 0x15`).
-    ErrorReply {
-        /// Stable machine-readable code (mirrors `ServeError::code`).
+    Pong,
+    /// Recent request timelines from the flight recorder, newest first
+    /// (`tag 0x16`).
+    Trace(Vec<RequestTrace>),
+    /// Any failure, carrying the stable error code and a human-readable
+    /// message (`tag 0x15`).
+    Error {
+        /// Stable machine-readable code (`"busy"`, `"unknown_model"`, …).
         code: String,
-        /// Human-readable detail.
+        /// Human-readable description.
         message: String,
     },
-    /// Recorded request timelines, newest first (`tag 0x16`).
-    TraceReply(Vec<TraceBody>),
+}
+
+/// One binary frame: a request, a response, or a standalone spike raster
+/// for shard-to-shard transport.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Frame {
+    /// A client request (tags `0x01..=0x05`).
+    Request(Request),
+    /// A server response (tags `0x11..=0x16`).
+    Response(Response),
     /// A standalone spike raster (`tag 0x21`).
     Raster(SpikeRaster),
 }
@@ -280,19 +329,218 @@ impl Frame {
     /// The payload tag byte of this frame type.
     pub fn tag(&self) -> u8 {
         match self {
-            Frame::InferRequest { .. } => TAG_INFER_REQUEST,
-            Frame::StatsRequest => TAG_STATS_REQUEST,
-            Frame::ListModelsRequest => TAG_LIST_MODELS_REQUEST,
-            Frame::PingRequest => TAG_PING_REQUEST,
-            Frame::TraceRequest { .. } => TAG_TRACE_REQUEST,
-            Frame::InferReply { .. } => TAG_INFER_REPLY,
-            Frame::StatsReply(_) => TAG_STATS_REPLY,
-            Frame::ModelsReply(_) => TAG_MODELS_REPLY,
-            Frame::PongReply => TAG_PONG_REPLY,
-            Frame::ErrorReply { .. } => TAG_ERROR_REPLY,
-            Frame::TraceReply(_) => TAG_TRACE_REPLY,
+            Frame::Request(request) => match request {
+                Request::Infer { .. } => TAG_INFER_REQUEST,
+                Request::Stats => TAG_STATS_REQUEST,
+                Request::ListModels => TAG_LIST_MODELS_REQUEST,
+                Request::Ping => TAG_PING_REQUEST,
+                Request::Trace { .. } => TAG_TRACE_REQUEST,
+            },
+            Frame::Response(response) => match response {
+                Response::Infer(_) => TAG_INFER_REPLY,
+                Response::Stats(_) => TAG_STATS_REPLY,
+                Response::Models(_) => TAG_MODELS_REPLY,
+                Response::Pong => TAG_PONG_REPLY,
+                Response::Error { .. } => TAG_ERROR_REPLY,
+                Response::Trace(_) => TAG_TRACE_REPLY,
+            },
             Frame::Raster(_) => TAG_RASTER,
         }
+    }
+}
+
+fn put_f32s(w: &mut ByteWriter, values: &[f32]) -> Result<()> {
+    w.put_len(values.len())?;
+    for &v in values {
+        w.put_f32(v);
+    }
+    Ok(())
+}
+
+fn get_f32s(r: &mut ByteReader<'_>) -> Result<Vec<f32>> {
+    let len = r.get_len(4)?;
+    let mut values = Vec::with_capacity(len);
+    for _ in 0..len {
+        values.push(r.get_f32()?);
+    }
+    Ok(values)
+}
+
+fn get_usize(r: &mut ByteReader<'_>, what: &str) -> Result<usize> {
+    let v = r.get_u64()?;
+    usize::try_from(v)
+        .map_err(|_| WireError::InvalidPayload(format!("{what} {v} does not fit usize")))
+}
+
+impl InferenceReply {
+    fn write(&self, w: &mut ByteWriter) -> Result<()> {
+        w.put_str(&self.model)?;
+        w.put_u64(self.predicted as u64);
+        put_f32s(w, &self.logits)?;
+        w.put_u64(self.total_spikes as u64);
+        w.put_u64(self.latency_us);
+        w.put_u64(self.trace_id);
+        Ok(())
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Result<InferenceReply> {
+        Ok(InferenceReply {
+            model: r.get_str()?,
+            predicted: get_usize(r, "predicted index")?,
+            logits: get_f32s(r)?,
+            total_spikes: get_usize(r, "spike count")?,
+            latency_us: r.get_u64()?,
+            trace_id: r.get_u64()?,
+        })
+    }
+}
+
+impl ServerStats {
+    fn write(&self, w: &mut ByteWriter) -> Result<()> {
+        w.put_u64(self.requests_received);
+        w.put_u64(self.requests_served);
+        w.put_u64(self.rejected_busy);
+        w.put_u64(self.failed);
+        w.put_u64(self.batches);
+        w.put_len(self.batch_size_histogram.len())?;
+        for &bucket in &self.batch_size_histogram {
+            w.put_u64(bucket);
+        }
+        w.put_f64(self.mean_batch_size);
+        w.put_u64(self.p50_latency_us);
+        w.put_u64(self.p99_latency_us);
+        w.put_f64(self.mean_latency_us);
+        w.put_u64(self.total_spikes);
+        w.put_f64(self.spikes_per_inference);
+        w.put_u64(self.batch_size_offset);
+        w.put_u64(self.p999_latency_us);
+        w.put_len(self.stage_latency_ns.len())?;
+        for entry in &self.stage_latency_ns {
+            w.put_str(&entry.stage)?;
+            w.put_u64(entry.p50_ns);
+            w.put_u64(entry.p99_ns);
+        }
+        Ok(())
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Result<ServerStats> {
+        let requests_received = r.get_u64()?;
+        let requests_served = r.get_u64()?;
+        let rejected_busy = r.get_u64()?;
+        let failed = r.get_u64()?;
+        let batches = r.get_u64()?;
+        let len = r.get_len(8)?;
+        let mut batch_size_histogram = Vec::with_capacity(len);
+        for _ in 0..len {
+            batch_size_histogram.push(r.get_u64()?);
+        }
+        let mean_batch_size = r.get_f64()?;
+        let p50_latency_us = r.get_u64()?;
+        let p99_latency_us = r.get_u64()?;
+        let mean_latency_us = r.get_f64()?;
+        let total_spikes = r.get_u64()?;
+        let spikes_per_inference = r.get_f64()?;
+        let batch_size_offset = r.get_u64()?;
+        let p999_latency_us = r.get_u64()?;
+        // Each entry costs at least its stage-name length prefix plus
+        // two u64 percentiles.
+        let stage_len = r.get_len(20)?;
+        let mut stage_latency_ns = Vec::with_capacity(stage_len);
+        for _ in 0..stage_len {
+            stage_latency_ns.push(StageLatency {
+                stage: r.get_str()?,
+                p50_ns: r.get_u64()?,
+                p99_ns: r.get_u64()?,
+            });
+        }
+        Ok(ServerStats {
+            requests_received,
+            requests_served,
+            rejected_busy,
+            failed,
+            batches,
+            batch_size_histogram,
+            mean_batch_size,
+            p50_latency_us,
+            p99_latency_us,
+            mean_latency_us,
+            total_spikes,
+            spikes_per_inference,
+            batch_size_offset,
+            p999_latency_us,
+            stage_latency_ns,
+        })
+    }
+}
+
+impl RequestTrace {
+    fn write(&self, w: &mut ByteWriter) -> Result<()> {
+        w.put_u64(self.trace_id);
+        w.put_str(&self.model)?;
+        w.put_u64(self.seed);
+        w.put_u32(self.worker);
+        w.put_u64(self.start_ns);
+        w.put_u64(self.end_ns);
+        w.put_u8(u8::from(self.ok));
+        w.put_str(&self.backend)?;
+        w.put_u32(self.dropped_spans);
+        w.put_len(self.spans.len())?;
+        for span in &self.spans {
+            w.put_u8(span.stage);
+            w.put_u32(span.layer.unwrap_or(TRACE_NO_LAYER));
+            w.put_u64(span.start_ns);
+            w.put_u64(span.end_ns);
+            w.put_u8(span.kernel);
+            w.put_f32(span.density);
+        }
+        Ok(())
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Result<RequestTrace> {
+        let trace_id = r.get_u64()?;
+        let model = r.get_str()?;
+        let seed = r.get_u64()?;
+        let worker = r.get_u32()?;
+        let start_ns = r.get_u64()?;
+        let end_ns = r.get_u64()?;
+        let ok = match r.get_u8()? {
+            0 => false,
+            1 => true,
+            other => {
+                return Err(WireError::InvalidPayload(format!(
+                    "trace ok flag must be 0 or 1, got {other}"
+                )))
+            }
+        };
+        let backend = r.get_str()?;
+        let dropped_spans = r.get_u32()?;
+        // Each span is 26 fixed bytes.
+        let span_count = r.get_len(26)?;
+        let mut spans = Vec::with_capacity(span_count);
+        for _ in 0..span_count {
+            let stage = r.get_u8()?;
+            let layer = r.get_u32()?;
+            spans.push(TraceSpan {
+                stage,
+                layer: (layer != TRACE_NO_LAYER).then_some(layer),
+                start_ns: r.get_u64()?,
+                end_ns: r.get_u64()?,
+                kernel: r.get_u8()?,
+                density: r.get_f32()?,
+            });
+        }
+        Ok(RequestTrace {
+            trace_id,
+            model,
+            seed,
+            worker,
+            start_ns,
+            end_ns,
+            ok,
+            backend,
+            spans,
+            dropped_spans,
+        })
     }
 }
 
@@ -305,97 +553,37 @@ pub fn encode_payload(frame: &Frame) -> Result<Vec<u8>> {
     let mut w = ByteWriter::with_capacity(64);
     w.put_u8(frame.tag());
     match frame {
-        Frame::InferRequest { model, seed, input } => {
-            w.put_str(model)?;
-            w.put_u64(*seed);
-            w.put_len(input.len())?;
-            for &v in input {
-                w.put_f32(v);
+        Frame::Request(request) => match request {
+            Request::Infer { model, seed, input } => {
+                w.put_str(model)?;
+                w.put_u64(*seed);
+                put_f32s(&mut w, input)?;
             }
-        }
-        Frame::StatsRequest | Frame::ListModelsRequest | Frame::PingRequest | Frame::PongReply => {}
-        Frame::TraceRequest { last } => {
-            w.put_u32(*last);
-        }
-        Frame::InferReply {
-            model,
-            predicted,
-            logits,
-            total_spikes,
-            latency_us,
-            trace_id,
-        } => {
-            w.put_str(model)?;
-            w.put_u64(*predicted);
-            w.put_len(logits.len())?;
-            for &v in logits {
-                w.put_f32(v);
-            }
-            w.put_u64(*total_spikes);
-            w.put_u64(*latency_us);
-            w.put_u64(*trace_id);
-        }
-        Frame::StatsReply(stats) => {
-            w.put_u64(stats.requests_received);
-            w.put_u64(stats.requests_served);
-            w.put_u64(stats.rejected_busy);
-            w.put_u64(stats.failed);
-            w.put_u64(stats.batches);
-            w.put_len(stats.batch_size_histogram.len())?;
-            for &bucket in &stats.batch_size_histogram {
-                w.put_u64(bucket);
-            }
-            w.put_f64(stats.mean_batch_size);
-            w.put_u64(stats.p50_latency_us);
-            w.put_u64(stats.p99_latency_us);
-            w.put_f64(stats.mean_latency_us);
-            w.put_u64(stats.total_spikes);
-            w.put_f64(stats.spikes_per_inference);
-            w.put_u64(stats.batch_size_offset);
-            w.put_u64(stats.p999_latency_us);
-            w.put_len(stats.stage_latency_ns.len())?;
-            for entry in &stats.stage_latency_ns {
-                w.put_str(&entry.stage)?;
-                w.put_u64(entry.p50_ns);
-                w.put_u64(entry.p99_ns);
-            }
-        }
-        Frame::TraceReply(traces) => {
-            w.put_len(traces.len())?;
-            for trace in traces {
-                w.put_u64(trace.trace_id);
-                w.put_str(&trace.model)?;
-                w.put_u64(trace.seed);
-                w.put_u32(trace.worker);
-                w.put_u64(trace.start_ns);
-                w.put_u64(trace.end_ns);
-                w.put_u8(u8::from(trace.ok));
-                w.put_str(&trace.backend)?;
-                w.put_u32(trace.dropped_spans);
-                w.put_len(trace.spans.len())?;
-                for span in &trace.spans {
-                    w.put_u8(span.stage);
-                    w.put_u32(span.layer);
-                    w.put_u64(span.start_ns);
-                    w.put_u64(span.end_ns);
-                    w.put_u8(span.kernel);
-                    w.put_f32(span.density);
+            Request::Stats | Request::ListModels | Request::Ping => {}
+            Request::Trace { last } => w.put_u32(u32::try_from(*last).unwrap_or(u32::MAX)),
+        },
+        Frame::Response(response) => match response {
+            Response::Infer(reply) => reply.write(&mut w)?,
+            Response::Stats(stats) => stats.write(&mut w)?,
+            Response::Models(names) => {
+                w.put_len(names.len())?;
+                for name in names {
+                    w.put_str(name)?;
                 }
             }
-        }
-        Frame::ModelsReply(names) => {
-            w.put_len(names.len())?;
-            for name in names {
-                w.put_str(name)?;
+            Response::Pong => {}
+            Response::Trace(traces) => {
+                w.put_len(traces.len())?;
+                for trace in traces {
+                    trace.write(&mut w)?;
+                }
             }
-        }
-        Frame::ErrorReply { code, message } => {
-            w.put_str(code)?;
-            w.put_str(message)?;
-        }
-        Frame::Raster(raster) => {
-            write_raster(&mut w, raster)?;
-        }
+            Response::Error { code, message } => {
+                w.put_str(code)?;
+                w.put_str(message)?;
+            }
+        },
+        Frame::Raster(raster) => write_raster(&mut w, raster)?,
     }
     Ok(w.into_bytes())
 }
@@ -410,88 +598,19 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame> {
     let mut r = ByteReader::new(payload);
     let tag = r.get_u8()?;
     let frame = match tag {
-        TAG_INFER_REQUEST => {
-            let model = r.get_str()?;
-            let seed = r.get_u64()?;
-            let len = r.get_len(4)?;
-            let mut input = Vec::with_capacity(len);
-            for _ in 0..len {
-                input.push(r.get_f32()?);
-            }
-            Frame::InferRequest { model, seed, input }
-        }
-        TAG_STATS_REQUEST => Frame::StatsRequest,
-        TAG_LIST_MODELS_REQUEST => Frame::ListModelsRequest,
-        TAG_PING_REQUEST => Frame::PingRequest,
-        TAG_TRACE_REQUEST => Frame::TraceRequest { last: r.get_u32()? },
-        TAG_INFER_REPLY => {
-            let model = r.get_str()?;
-            let predicted = r.get_u64()?;
-            let len = r.get_len(4)?;
-            let mut logits = Vec::with_capacity(len);
-            for _ in 0..len {
-                logits.push(r.get_f32()?);
-            }
-            let total_spikes = r.get_u64()?;
-            let latency_us = r.get_u64()?;
-            let trace_id = r.get_u64()?;
-            Frame::InferReply {
-                model,
-                predicted,
-                logits,
-                total_spikes,
-                latency_us,
-                trace_id,
-            }
-        }
-        TAG_STATS_REPLY => {
-            let requests_received = r.get_u64()?;
-            let requests_served = r.get_u64()?;
-            let rejected_busy = r.get_u64()?;
-            let failed = r.get_u64()?;
-            let batches = r.get_u64()?;
-            let len = r.get_len(8)?;
-            let mut batch_size_histogram = Vec::with_capacity(len);
-            for _ in 0..len {
-                batch_size_histogram.push(r.get_u64()?);
-            }
-            let mean_batch_size = r.get_f64()?;
-            let p50_latency_us = r.get_u64()?;
-            let p99_latency_us = r.get_u64()?;
-            let mean_latency_us = r.get_f64()?;
-            let total_spikes = r.get_u64()?;
-            let spikes_per_inference = r.get_f64()?;
-            let batch_size_offset = r.get_u64()?;
-            let p999_latency_us = r.get_u64()?;
-            // Each entry costs at least its stage-name length prefix plus
-            // two u64 percentiles.
-            let stage_len = r.get_len(20)?;
-            let mut stage_latency_ns = Vec::with_capacity(stage_len);
-            for _ in 0..stage_len {
-                stage_latency_ns.push(StageLatencyBody {
-                    stage: r.get_str()?,
-                    p50_ns: r.get_u64()?,
-                    p99_ns: r.get_u64()?,
-                });
-            }
-            Frame::StatsReply(StatsBody {
-                requests_received,
-                requests_served,
-                rejected_busy,
-                failed,
-                batches,
-                batch_size_histogram,
-                mean_batch_size,
-                p50_latency_us,
-                p99_latency_us,
-                mean_latency_us,
-                total_spikes,
-                spikes_per_inference,
-                batch_size_offset,
-                p999_latency_us,
-                stage_latency_ns,
-            })
-        }
+        TAG_INFER_REQUEST => Frame::Request(Request::Infer {
+            model: r.get_str()?,
+            seed: r.get_u64()?,
+            input: get_f32s(&mut r)?,
+        }),
+        TAG_STATS_REQUEST => Frame::Request(Request::Stats),
+        TAG_LIST_MODELS_REQUEST => Frame::Request(Request::ListModels),
+        TAG_PING_REQUEST => Frame::Request(Request::Ping),
+        TAG_TRACE_REQUEST => Frame::Request(Request::Trace {
+            last: r.get_u32()? as usize,
+        }),
+        TAG_INFER_REPLY => Frame::Response(Response::Infer(InferenceReply::read(&mut r)?)),
+        TAG_STATS_REPLY => Frame::Response(Response::Stats(ServerStats::read(&mut r)?)),
         TAG_MODELS_REPLY => {
             // Each name costs at least its 4-byte length prefix.
             let len = r.get_len(4)?;
@@ -499,62 +618,21 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame> {
             for _ in 0..len {
                 names.push(r.get_str()?);
             }
-            Frame::ModelsReply(names)
+            Frame::Response(Response::Models(names))
         }
-        TAG_PONG_REPLY => Frame::PongReply,
-        TAG_ERROR_REPLY => Frame::ErrorReply {
+        TAG_PONG_REPLY => Frame::Response(Response::Pong),
+        TAG_ERROR_REPLY => Frame::Response(Response::Error {
             code: r.get_str()?,
             message: r.get_str()?,
-        },
+        }),
         TAG_TRACE_REPLY => {
             // Each trace costs at least its fixed-width scalar fields.
             let count = r.get_len(45)?;
             let mut traces = Vec::with_capacity(count);
             for _ in 0..count {
-                let trace_id = r.get_u64()?;
-                let model = r.get_str()?;
-                let seed = r.get_u64()?;
-                let worker = r.get_u32()?;
-                let start_ns = r.get_u64()?;
-                let end_ns = r.get_u64()?;
-                let ok = match r.get_u8()? {
-                    0 => false,
-                    1 => true,
-                    other => {
-                        return Err(WireError::InvalidPayload(format!(
-                            "trace ok flag must be 0 or 1, got {other}"
-                        )))
-                    }
-                };
-                let backend = r.get_str()?;
-                let dropped_spans = r.get_u32()?;
-                // Each span is 26 fixed bytes.
-                let span_count = r.get_len(26)?;
-                let mut spans = Vec::with_capacity(span_count);
-                for _ in 0..span_count {
-                    spans.push(TraceSpanBody {
-                        stage: r.get_u8()?,
-                        layer: r.get_u32()?,
-                        start_ns: r.get_u64()?,
-                        end_ns: r.get_u64()?,
-                        kernel: r.get_u8()?,
-                        density: r.get_f32()?,
-                    });
-                }
-                traces.push(TraceBody {
-                    trace_id,
-                    model,
-                    seed,
-                    worker,
-                    start_ns,
-                    end_ns,
-                    ok,
-                    backend,
-                    spans,
-                    dropped_spans,
-                });
+                traces.push(RequestTrace::read(&mut r)?);
             }
-            Frame::TraceReply(traces)
+            Frame::Response(Response::Trace(traces))
         }
         TAG_RASTER => Frame::Raster(read_raster(&mut r)?),
         other => return Err(WireError::UnknownTag { tag: other }),
@@ -643,24 +721,24 @@ mod tests {
         let mut raster = SpikeRaster::new(8, 96);
         raster.set_train(2, vec![0, 17, 95]);
         vec![
-            Frame::InferRequest {
+            Frame::Request(Request::Infer {
                 model: "mnist-ttas".to_string(),
                 seed: (1u64 << 60) + 7, // above 2^53
                 input: vec![0.0, -0.0, 1.5e-42, f32::MAX],
-            },
-            Frame::StatsRequest,
-            Frame::ListModelsRequest,
-            Frame::PingRequest,
-            Frame::TraceRequest { last: 16 },
-            Frame::InferReply {
+            }),
+            Frame::Request(Request::Stats),
+            Frame::Request(Request::ListModels),
+            Frame::Request(Request::Ping),
+            Frame::Request(Request::Trace { last: 16 }),
+            Frame::Response(Response::Infer(InferenceReply {
                 model: "mnist-ttas".to_string(),
                 predicted: 7,
                 logits: vec![-0.0, 3.25, f32::MIN_POSITIVE / 4.0],
                 total_spikes: 421,
                 latency_us: 1_553,
                 trace_id: (1u64 << 57) + 3,
-            },
-            Frame::StatsReply(StatsBody {
+            })),
+            Frame::Response(Response::Stats(ServerStats {
                 requests_received: 10,
                 requests_served: 9,
                 rejected_busy: 1,
@@ -676,19 +754,19 @@ mod tests {
                 batch_size_offset: 2,
                 p999_latency_us: 9_700,
                 stage_latency_ns: vec![
-                    StageLatencyBody {
+                    StageLatency {
                         stage: "queue_wait".to_string(),
                         p50_ns: 12_000,
                         p99_ns: 88_000,
                     },
-                    StageLatencyBody {
+                    StageLatency {
                         stage: "simulate".to_string(),
                         p50_ns: 640_000,
                         p99_ns: 1_900_000,
                     },
                 ],
-            }),
-            Frame::TraceReply(vec![TraceBody {
+            })),
+            Frame::Response(Response::Trace(vec![RequestTrace {
                 trace_id: 11,
                 model: "mnist-ttas".to_string(),
                 seed: (1u64 << 61) + 5,
@@ -698,17 +776,17 @@ mod tests {
                 ok: true,
                 backend: "sse2".to_string(),
                 spans: vec![
-                    TraceSpanBody {
+                    TraceSpan {
                         stage: 0, // queue_wait
-                        layer: TRACE_NO_LAYER,
+                        layer: None,
                         start_ns: 5_000,
                         end_ns: 45_000,
                         kernel: 0,
                         density: 0.0,
                     },
-                    TraceSpanBody {
+                    TraceSpan {
                         stage: 5, // simulate
-                        layer: 1,
+                        layer: Some(1),
                         start_ns: 45_000,
                         end_ns: 905_000,
                         kernel: 2, // sparse
@@ -716,13 +794,16 @@ mod tests {
                     },
                 ],
                 dropped_spans: 0,
-            }]),
-            Frame::ModelsReply(vec!["a".to_string(), "b-ttfs".to_string()]),
-            Frame::PongReply,
-            Frame::ErrorReply {
+            }])),
+            Frame::Response(Response::Models(vec![
+                "a".to_string(),
+                "b-ttfs".to_string(),
+            ])),
+            Frame::Response(Response::Pong),
+            Frame::Response(Response::Error {
                 code: "unknown_model".to_string(),
                 message: "no model named 'x'".to_string(),
-            },
+            }),
             Frame::Raster(raster),
         ]
     }
@@ -785,7 +866,7 @@ mod tests {
             decode_payload(&[0x7F]),
             Err(WireError::UnknownTag { tag: 0x7F })
         );
-        let mut bytes = encode_frame(&Frame::PingRequest).unwrap();
+        let mut bytes = encode_frame(&Frame::Request(Request::Ping)).unwrap();
         bytes.push(0);
         assert_eq!(
             decode_frame(&bytes),

@@ -1,12 +1,15 @@
 //! # nrsnn-wire
 //!
-//! The compact binary wire and model format of the NRSNN reproduction: a
-//! length-prefixed, versioned framing for every serving-protocol message, a
-//! sparse spike-raster codec, and the binary on-disk model format.  The
-//! newline-delimited JSON protocol of `nrsnn-serve` stays available as the
-//! negotiated fallback; this crate supplies the byte-exact encoding the
-//! ROADMAP's scale-out serving needs (floats as raw little-endian bits, not
-//! decimal text; spike rasters as an index/value split, not nested arrays).
+//! The serving schema of the NRSNN reproduction and its binary codecs.
+//! Every serving-protocol message ([`Request`], [`Response`] and their
+//! parts) and every model part ([`ModelRecord`], [`LayerSpec`],
+//! [`NoiseSpec`]) is defined here, once, next to its binary encoding: a
+//! length-prefixed, versioned framing for the messages, a sparse
+//! spike-raster codec, and the binary on-disk model format (`NRSM`).
+//! `nrsnn-serve` re-exports these types and adds the newline-delimited JSON
+//! codec, the negotiated fallback wire; the binary encoding here is the
+//! byte-exact one (floats as raw little-endian bits, not decimal text;
+//! spike rasters as an index/value split, not nested arrays).
 //!
 //! ## Correctness bar
 //!
@@ -54,11 +57,11 @@ pub mod raster;
 pub use bytes::{ByteReader, ByteWriter};
 pub use frame::{
     decode_frame, decode_payload, encode_frame, encode_payload, read_frame, write_frame, Frame,
-    FrameHeader, StageLatencyBody, StatsBody, TraceBody, TraceSpanBody, FRAME_HEADER_LEN,
-    FRAME_MAGIC, MAX_FRAME_LEN, TRACE_NO_LAYER, WIRE_VERSION,
+    FrameHeader, InferenceReply, Request, RequestTrace, Response, ServerStats, StageLatency,
+    TraceSpan, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_LEN, WIRE_VERSION,
 };
 pub use model::{
-    decode_model, encode_model, LayerDesc, ModelRecord, NoiseDesc, MODEL_MAGIC, MODEL_VERSION,
+    decode_model, encode_model, LayerSpec, ModelRecord, NoiseSpec, MODEL_MAGIC, MODEL_VERSION,
 };
 pub use raster::{decode_raster, encode_raster, read_raster, write_raster, MAX_RASTER_DIM};
 

@@ -30,7 +30,7 @@
 //! survives, which JSON's IEEE-double numbers cannot guarantee.
 
 use nrsnn_dnn::NetworkWeights;
-use nrsnn_snn::CodingKind;
+use nrsnn_snn::{CodingKind, SnnLayer};
 use nrsnn_tensor::Tensor;
 
 use crate::{ByteReader, ByteWriter, Result, WireError};
@@ -44,18 +44,18 @@ pub const MODEL_VERSION: u8 = 1;
 /// Hard cap on a tensor's rank; everything in this workspace is rank 1–2.
 pub const MAX_TENSOR_RANK: usize = 8;
 
-/// Architecture of one layer — a field-for-field mirror of `nrsnn-serve`'s
-/// `LayerSpec` (kept here because the dependency points the other way).
+/// Architecture of one converted-SNN layer, without its parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LayerDesc {
-    /// Fully connected layer.
+pub enum LayerSpec {
+    /// Fully connected layer (`out x input` weights plus `out` biases).
     Linear {
         /// Output width.
         out: usize,
         /// Input width.
         input: usize,
     },
-    /// Convolution layer.
+    /// Convolution layer (flattened `out_channels x patch` kernel bank plus
+    /// `out_channels` biases).
     Conv {
         /// Number of output channels.
         out_channels: usize,
@@ -82,27 +82,66 @@ pub enum LayerDesc {
         in_width: usize,
         /// Square pooling window.
         window: usize,
-        /// Stride.
+        /// Stride (commonly equal to the window).
         stride: usize,
     },
 }
 
-/// Deployment noise description — mirror of `nrsnn-serve`'s `NoiseSpec`.
+impl LayerSpec {
+    /// Extracts the architecture of an existing network layer.
+    pub fn of_layer(layer: &SnnLayer) -> LayerSpec {
+        match layer {
+            SnnLayer::Linear { weights, .. } => LayerSpec::Linear {
+                out: weights.dims()[0],
+                input: weights.dims()[1],
+            },
+            SnnLayer::Conv {
+                weights, geometry, ..
+            } => LayerSpec::Conv {
+                out_channels: weights.dims()[0],
+                in_channels: geometry.in_channels,
+                in_height: geometry.in_height,
+                in_width: geometry.in_width,
+                kernel: geometry.kernel,
+                stride: geometry.stride,
+                padding: geometry.padding,
+            },
+            SnnLayer::AvgPool { geometry } => LayerSpec::AvgPool {
+                channels: geometry.channels,
+                in_height: geometry.in_height,
+                in_width: geometry.in_width,
+                window: geometry.window,
+                stride: geometry.stride,
+            },
+        }
+    }
+
+    /// Number of parameter tensors this layer consumes from the flat
+    /// [`NetworkWeights`] list (weights + bias, or none for pooling).
+    pub fn param_count(&self) -> usize {
+        match self {
+            LayerSpec::Linear { .. } | LayerSpec::Conv { .. } => 2,
+            LayerSpec::AvgPool { .. } => 0,
+        }
+    }
+}
+
+/// Description of the noise transform a model is served under.
 #[derive(Debug, Clone, PartialEq)]
-pub enum NoiseDesc {
-    /// No noise.
+pub enum NoiseSpec {
+    /// No noise (the clean baseline).
     Clean,
-    /// Per-spike deletion with the given probability.
+    /// Independent per-spike deletion with the given probability.
     Deletion(f64),
     /// Gaussian spike-time jitter with the given standard deviation.
     Jitter(f64),
-    /// A chain of primitive stages (nested composites are rejected by both
-    /// encoder and decoder, matching the serve-side semantics).
-    Composite(Vec<NoiseDesc>),
+    /// A chain of primitive stages applied in order (nested composites are
+    /// rejected by both encoder and decoder).
+    Composite(Vec<NoiseSpec>),
 }
 
-/// Everything a binary model file carries — a lossless mirror of
-/// `nrsnn-serve`'s `ModelSpec` (the serve crate owns the conversions).
+/// Everything a binary model file carries.  `nrsnn-serve`'s `ModelSpec`
+/// holds the same ten fields and copies them in and out.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelRecord {
     /// Registry name clients address the model by.
@@ -118,11 +157,11 @@ pub struct ModelRecord {
     /// Weight-scaling factor already folded into the parameters.
     pub scaling: f32,
     /// Noise transform injected into every transmitted raster.
-    pub noise: NoiseDesc,
+    pub noise: NoiseSpec,
     /// Master seed — full u64, values above 2^53 survive.
     pub master_seed: u64,
     /// Layer architecture, input layer first.
-    pub layers: Vec<LayerDesc>,
+    pub layers: Vec<LayerSpec>,
     /// Flat parameter list in `nrsnn-dnn::NetworkWeights` layout
     /// (layer-major, weights before bias).
     pub weights: NetworkWeights,
@@ -173,18 +212,18 @@ fn read_coding(r: &mut ByteReader<'_>) -> Result<CodingKind> {
     }
 }
 
-fn write_noise(w: &mut ByteWriter, noise: &NoiseDesc, top_level: bool) -> Result<()> {
+fn write_noise(w: &mut ByteWriter, noise: &NoiseSpec, top_level: bool) -> Result<()> {
     match noise {
-        NoiseDesc::Clean => w.put_u8(NOISE_CLEAN),
-        NoiseDesc::Deletion(p) => {
+        NoiseSpec::Clean => w.put_u8(NOISE_CLEAN),
+        NoiseSpec::Deletion(p) => {
             w.put_u8(NOISE_DELETION);
             w.put_f64(*p);
         }
-        NoiseDesc::Jitter(sigma) => {
+        NoiseSpec::Jitter(sigma) => {
             w.put_u8(NOISE_JITTER);
             w.put_f64(*sigma);
         }
-        NoiseDesc::Composite(stages) => {
+        NoiseSpec::Composite(stages) => {
             if !top_level {
                 return Err(WireError::InvalidPayload(
                     "composite noise stages must be primitive".to_string(),
@@ -200,18 +239,18 @@ fn write_noise(w: &mut ByteWriter, noise: &NoiseDesc, top_level: bool) -> Result
     Ok(())
 }
 
-fn read_noise(r: &mut ByteReader<'_>, top_level: bool) -> Result<NoiseDesc> {
+fn read_noise(r: &mut ByteReader<'_>, top_level: bool) -> Result<NoiseSpec> {
     match r.get_u8()? {
-        NOISE_CLEAN => Ok(NoiseDesc::Clean),
-        NOISE_DELETION => Ok(NoiseDesc::Deletion(r.get_f64()?)),
-        NOISE_JITTER => Ok(NoiseDesc::Jitter(r.get_f64()?)),
+        NOISE_CLEAN => Ok(NoiseSpec::Clean),
+        NOISE_DELETION => Ok(NoiseSpec::Deletion(r.get_f64()?)),
+        NOISE_JITTER => Ok(NoiseSpec::Jitter(r.get_f64()?)),
         NOISE_COMPOSITE if top_level => {
             let count = r.get_len(1)?;
             let mut stages = Vec::with_capacity(count);
             for _ in 0..count {
                 stages.push(read_noise(r, false)?);
             }
-            Ok(NoiseDesc::Composite(stages))
+            Ok(NoiseSpec::Composite(stages))
         }
         NOISE_COMPOSITE => Err(WireError::InvalidPayload(
             "composite noise stages must be primitive".to_string(),
@@ -220,14 +259,14 @@ fn read_noise(r: &mut ByteReader<'_>, top_level: bool) -> Result<NoiseDesc> {
     }
 }
 
-fn write_layer(w: &mut ByteWriter, layer: &LayerDesc) -> Result<()> {
+fn write_layer(w: &mut ByteWriter, layer: &LayerSpec) -> Result<()> {
     match *layer {
-        LayerDesc::Linear { out, input } => {
+        LayerSpec::Linear { out, input } => {
             w.put_u8(LAYER_LINEAR);
             put_usize(w, out)?;
             put_usize(w, input)?;
         }
-        LayerDesc::Conv {
+        LayerSpec::Conv {
             out_channels,
             in_channels,
             in_height,
@@ -249,7 +288,7 @@ fn write_layer(w: &mut ByteWriter, layer: &LayerDesc) -> Result<()> {
                 put_usize(w, v)?;
             }
         }
-        LayerDesc::AvgPool {
+        LayerSpec::AvgPool {
             channels,
             in_height,
             in_width,
@@ -265,13 +304,13 @@ fn write_layer(w: &mut ByteWriter, layer: &LayerDesc) -> Result<()> {
     Ok(())
 }
 
-fn read_layer(r: &mut ByteReader<'_>) -> Result<LayerDesc> {
+fn read_layer(r: &mut ByteReader<'_>) -> Result<LayerSpec> {
     match r.get_u8()? {
-        LAYER_LINEAR => Ok(LayerDesc::Linear {
+        LAYER_LINEAR => Ok(LayerSpec::Linear {
             out: r.get_u32()? as usize,
             input: r.get_u32()? as usize,
         }),
-        LAYER_CONV => Ok(LayerDesc::Conv {
+        LAYER_CONV => Ok(LayerSpec::Conv {
             out_channels: r.get_u32()? as usize,
             in_channels: r.get_u32()? as usize,
             in_height: r.get_u32()? as usize,
@@ -280,7 +319,7 @@ fn read_layer(r: &mut ByteReader<'_>) -> Result<LayerDesc> {
             stride: r.get_u32()? as usize,
             padding: r.get_u32()? as usize,
         }),
-        LAYER_AVGPOOL => Ok(LayerDesc::AvgPool {
+        LAYER_AVGPOOL => Ok(LayerSpec::AvgPool {
             channels: r.get_u32()? as usize,
             in_height: r.get_u32()? as usize,
             in_width: r.get_u32()? as usize,
@@ -443,10 +482,10 @@ mod tests {
             threshold: 1.0,
             ttfs_tau_fraction: 4.0,
             scaling: 0.5,
-            noise: NoiseDesc::Composite(vec![NoiseDesc::Deletion(0.35), NoiseDesc::Jitter(1.5)]),
+            noise: NoiseSpec::Composite(vec![NoiseSpec::Deletion(0.35), NoiseSpec::Jitter(1.5)]),
             master_seed: (1u64 << 60) + 424_242, // above 2^53
             layers: vec![
-                LayerDesc::Conv {
+                LayerSpec::Conv {
                     out_channels: 4,
                     in_channels: 1,
                     in_height: 8,
@@ -455,14 +494,14 @@ mod tests {
                     stride: 1,
                     padding: 1,
                 },
-                LayerDesc::AvgPool {
+                LayerSpec::AvgPool {
                     channels: 4,
                     in_height: 8,
                     in_width: 8,
                     window: 2,
                     stride: 2,
                 },
-                LayerDesc::Linear { out: 10, input: 64 },
+                LayerSpec::Linear { out: 10, input: 64 },
             ],
             weights: NetworkWeights {
                 params: vec![
@@ -504,7 +543,7 @@ mod tests {
         let mut record = sample_record();
         record.layers.clear();
         record.weights.params.clear();
-        record.noise = NoiseDesc::Clean;
+        record.noise = NoiseSpec::Clean;
         record.master_seed = u64::MAX;
         let back = decode_model(&encode_model(&record).unwrap()).unwrap();
         assert_bitwise_equal(&back, &record);
@@ -575,7 +614,7 @@ mod tests {
     #[test]
     fn nested_composite_noise_is_rejected_both_ways() {
         let mut record = sample_record();
-        record.noise = NoiseDesc::Composite(vec![NoiseDesc::Composite(vec![])]);
+        record.noise = NoiseSpec::Composite(vec![NoiseSpec::Composite(vec![])]);
         assert!(matches!(
             encode_model(&record),
             Err(WireError::InvalidPayload(_))

@@ -10,8 +10,8 @@ use nrsnn_snn::{CodingKind, SpikeRaster};
 use nrsnn_tensor::Tensor;
 use nrsnn_wire::{
     decode_frame, decode_model, decode_raster, encode_frame, encode_model, encode_raster, Frame,
-    LayerDesc, ModelRecord, NoiseDesc, StatsBody, TraceBody, TraceSpanBody, WireError,
-    FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_LEN, TRACE_NO_LAYER, WIRE_VERSION,
+    InferenceReply, LayerSpec, ModelRecord, NoiseSpec, Request, RequestTrace, Response,
+    ServerStats, TraceSpan, WireError, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_LEN, WIRE_VERSION,
 };
 use proptest::rng_for;
 use rand::Rng;
@@ -19,11 +19,11 @@ use rand::Rng;
 fn sample_frame() -> Frame {
     let mut raster = SpikeRaster::new(6, 96);
     raster.set_train(1, vec![3, 40, 95]);
-    Frame::InferRequest {
+    Frame::Request(Request::Infer {
         model: "mnist".to_string(),
         seed: (1u64 << 60) + 5,
         input: vec![0.25, -0.0, 1.5e-42],
-    }
+    })
 }
 
 fn sample_frames() -> Vec<Frame> {
@@ -31,23 +31,23 @@ fn sample_frames() -> Vec<Frame> {
     raster.set_train(1, vec![3, 40, 95]);
     vec![
         sample_frame(),
-        Frame::StatsRequest,
-        Frame::ListModelsRequest,
-        Frame::PingRequest,
-        Frame::TraceRequest { last: 8 },
-        Frame::InferReply {
+        Frame::Request(Request::Stats),
+        Frame::Request(Request::ListModels),
+        Frame::Request(Request::Ping),
+        Frame::Request(Request::Trace { last: 8 }),
+        Frame::Response(Response::Infer(InferenceReply {
             model: "mnist".to_string(),
             predicted: 7,
             logits: vec![0.5, -1.25],
             total_spikes: 99,
             latency_us: 1000,
             trace_id: 77,
-        },
-        Frame::StatsReply(StatsBody {
+        })),
+        Frame::Response(Response::Stats(ServerStats {
             batch_size_histogram: vec![1, 2, 3],
-            ..StatsBody::default()
-        }),
-        Frame::TraceReply(vec![TraceBody {
+            ..ServerStats::default()
+        })),
+        Frame::Response(Response::Trace(vec![RequestTrace {
             trace_id: 77,
             model: "mnist".to_string(),
             seed: 5,
@@ -56,22 +56,22 @@ fn sample_frames() -> Vec<Frame> {
             end_ns: 900,
             ok: false,
             backend: "scalar".to_string(),
-            spans: vec![TraceSpanBody {
+            spans: vec![TraceSpan {
                 stage: 6,
-                layer: TRACE_NO_LAYER,
+                layer: None,
                 start_ns: 10,
                 end_ns: 900,
                 kernel: 1,
                 density: 1.0,
             }],
             dropped_spans: 1,
-        }]),
-        Frame::ModelsReply(vec!["a".to_string(), "b".to_string()]),
-        Frame::PongReply,
-        Frame::ErrorReply {
+        }])),
+        Frame::Response(Response::Models(vec!["a".to_string(), "b".to_string()])),
+        Frame::Response(Response::Pong),
+        Frame::Response(Response::Error {
             code: "busy".to_string(),
             message: "try later".to_string(),
-        },
+        }),
         Frame::Raster(raster),
     ]
 }
@@ -84,9 +84,9 @@ fn sample_model() -> ModelRecord {
         threshold: 1.0,
         ttfs_tau_fraction: 4.0,
         scaling: 0.5,
-        noise: NoiseDesc::Deletion(0.35),
+        noise: NoiseSpec::Deletion(0.35),
         master_seed: u64::MAX - 9,
-        layers: vec![LayerDesc::Linear { out: 3, input: 4 }],
+        layers: vec![LayerSpec::Linear { out: 3, input: 4 }],
         weights: NetworkWeights {
             params: vec![
                 Tensor::from_vec(vec![0.1; 12], &[3, 4]).unwrap(),
@@ -136,11 +136,11 @@ fn oversized_length_prefix_is_rejected_without_allocating() {
     // An in-cap header whose *payload* carries a hostile element count
     // (u32::MAX logits in a 30-byte frame): the element-presence check
     // fires before any Vec is sized from the count.
-    let inner = encode_frame(&Frame::InferRequest {
+    let inner = encode_frame(&Frame::Request(Request::Infer {
         model: "m".to_string(),
         seed: 0,
         input: vec![1.0, 2.0],
-    })
+    }))
     .unwrap();
     let mut hostile = inner.clone();
     let len = hostile.len();
@@ -154,7 +154,7 @@ fn oversized_length_prefix_is_rejected_without_allocating() {
 
 #[test]
 fn wrong_magic_and_version_are_typed() {
-    let bytes = encode_frame(&Frame::PingRequest).unwrap();
+    let bytes = encode_frame(&Frame::Request(Request::Ping)).unwrap();
     let mut wrong_magic = bytes.clone();
     wrong_magic[0] = b'{';
     assert_eq!(
@@ -290,7 +290,7 @@ fn hostile_tensor_and_raster_counts_cannot_allocate() {
 
 #[test]
 fn header_len_constant_matches_the_layout() {
-    let bytes = encode_frame(&Frame::PongReply).unwrap();
+    let bytes = encode_frame(&Frame::Response(Response::Pong)).unwrap();
     assert_eq!(FRAME_HEADER_LEN, 6);
     assert_eq!(bytes.len(), FRAME_HEADER_LEN + 1); // tag-only payload
 }

@@ -17,8 +17,8 @@ use nrsnn_dnn::NetworkWeights;
 use nrsnn_snn::{CodingKind, SpikeRaster};
 use nrsnn_tensor::Tensor;
 use nrsnn_wire::{
-    decode_frame, decode_model, encode_frame, encode_model, Frame, LayerDesc, ModelRecord,
-    NoiseDesc, StageLatencyBody, StatsBody, TraceBody, TraceSpanBody, TRACE_NO_LAYER,
+    decode_frame, decode_model, encode_frame, encode_model, Frame, InferenceReply, LayerSpec,
+    ModelRecord, NoiseSpec, Request, RequestTrace, Response, ServerStats, StageLatency, TraceSpan,
 };
 
 fn golden_dir() -> PathBuf {
@@ -57,30 +57,36 @@ fn golden_frames() -> Vec<(&'static str, Frame)> {
     vec![
         (
             "frame_infer_request.bin",
-            Frame::InferRequest {
+            Frame::Request(Request::Infer {
                 model: "mnist-mlp".to_string(),
                 seed: 9_007_199_254_740_993, // 2^53 + 1: must survive intact
                 input: vec![0.0, -0.0, 0.5, 1.5e-42, f32::MAX],
-            },
+            }),
         ),
-        ("frame_stats_request.bin", Frame::StatsRequest),
-        ("frame_list_models_request.bin", Frame::ListModelsRequest),
-        ("frame_ping_request.bin", Frame::PingRequest),
-        ("frame_trace_request.bin", Frame::TraceRequest { last: 16 }),
+        ("frame_stats_request.bin", Frame::Request(Request::Stats)),
+        (
+            "frame_list_models_request.bin",
+            Frame::Request(Request::ListModels),
+        ),
+        ("frame_ping_request.bin", Frame::Request(Request::Ping)),
+        (
+            "frame_trace_request.bin",
+            Frame::Request(Request::Trace { last: 16 }),
+        ),
         (
             "frame_infer_reply.bin",
-            Frame::InferReply {
+            Frame::Response(Response::Infer(InferenceReply {
                 model: "mnist-mlp".to_string(),
                 predicted: 7,
                 logits: vec![-0.25, 3.5, 0.0],
                 total_spikes: 12_345,
                 latency_us: 678,
                 trace_id: 9_007_199_254_740_995, // above 2^53: must survive
-            },
+            })),
         ),
         (
             "frame_stats_reply.bin",
-            Frame::StatsReply(StatsBody {
+            Frame::Response(Response::Stats(ServerStats {
                 requests_received: 10,
                 requests_served: 9,
                 rejected_busy: 1,
@@ -96,22 +102,22 @@ fn golden_frames() -> Vec<(&'static str, Frame)> {
                 batch_size_offset: 2,
                 p999_latency_us: 495,
                 stage_latency_ns: vec![
-                    StageLatencyBody {
+                    StageLatency {
                         stage: "queue_wait".to_string(),
                         p50_ns: 11_000,
                         p99_ns: 72_000,
                     },
-                    StageLatencyBody {
+                    StageLatency {
                         stage: "simulate".to_string(),
                         p50_ns: 95_000,
                         p99_ns: 410_000,
                     },
                 ],
-            }),
+            })),
         ),
         (
             "frame_trace_reply.bin",
-            Frame::TraceReply(vec![TraceBody {
+            Frame::Response(Response::Trace(vec![RequestTrace {
                 trace_id: 9_007_199_254_740_997, // above 2^53: must survive
                 model: "mnist-mlp".to_string(),
                 seed: u64::MAX - 5,
@@ -121,17 +127,17 @@ fn golden_frames() -> Vec<(&'static str, Frame)> {
                 ok: true,
                 backend: "sse2".to_string(),
                 spans: vec![
-                    TraceSpanBody {
+                    TraceSpan {
                         stage: 0, // queue_wait
-                        layer: TRACE_NO_LAYER,
+                        layer: None,
                         start_ns: 1_000,
                         end_ns: 12_000,
                         kernel: 0,
                         density: 0.0,
                     },
-                    TraceSpanBody {
+                    TraceSpan {
                         stage: 5, // simulate
-                        layer: 1,
+                        layer: Some(1),
                         start_ns: 12_000,
                         end_ns: 250_000,
                         kernel: 2, // sparse
@@ -139,19 +145,22 @@ fn golden_frames() -> Vec<(&'static str, Frame)> {
                     },
                 ],
                 dropped_spans: 0,
-            }]),
+            }])),
         ),
         (
             "frame_models_reply.bin",
-            Frame::ModelsReply(vec!["mnist-mlp".to_string(), "mnist-conv".to_string()]),
+            Frame::Response(Response::Models(vec![
+                "mnist-mlp".to_string(),
+                "mnist-conv".to_string(),
+            ])),
         ),
-        ("frame_pong_reply.bin", Frame::PongReply),
+        ("frame_pong_reply.bin", Frame::Response(Response::Pong)),
         (
             "frame_error_reply.bin",
-            Frame::ErrorReply {
+            Frame::Response(Response::Error {
                 code: "busy".to_string(),
                 message: "queue full".to_string(),
-            },
+            }),
         ),
         ("frame_raster.bin", Frame::Raster(raster)),
     ]
@@ -167,10 +176,10 @@ fn golden_model() -> ModelRecord {
         threshold: 1.0,
         ttfs_tau_fraction: 4.0,
         scaling: 0.75,
-        noise: NoiseDesc::Composite(vec![NoiseDesc::Deletion(0.2), NoiseDesc::Jitter(1.5)]),
+        noise: NoiseSpec::Composite(vec![NoiseSpec::Deletion(0.2), NoiseSpec::Jitter(1.5)]),
         master_seed: u64::MAX - 1,
         layers: vec![
-            LayerDesc::Conv {
+            LayerSpec::Conv {
                 out_channels: 2,
                 in_channels: 1,
                 in_height: 4,
@@ -179,14 +188,14 @@ fn golden_model() -> ModelRecord {
                 stride: 1,
                 padding: 1,
             },
-            LayerDesc::AvgPool {
+            LayerSpec::AvgPool {
                 channels: 2,
                 in_height: 4,
                 in_width: 4,
                 window: 2,
                 stride: 2,
             },
-            LayerDesc::Linear { out: 3, input: 8 },
+            LayerSpec::Linear { out: 3, input: 8 },
         ],
         weights: NetworkWeights {
             params: vec![

@@ -14,7 +14,8 @@ use nrsnn_snn::{CodingKind, SpikeRaster};
 use nrsnn_tensor::Tensor;
 use nrsnn_wire::{
     decode_frame, decode_model, decode_raster, encode_frame, encode_model, encode_raster, Frame,
-    LayerDesc, ModelRecord, NoiseDesc, StageLatencyBody, StatsBody, TraceBody, TraceSpanBody,
+    InferenceReply, LayerSpec, ModelRecord, NoiseSpec, Request, RequestTrace, Response,
+    ServerStats, StageLatency, TraceSpan,
 };
 use proptest::{prop_assert_eq, rng_for, TestRng, CASES};
 use rand::Rng;
@@ -124,8 +125,8 @@ fn gen_raster(rng: &mut TestRng) -> SpikeRaster {
     raster
 }
 
-fn gen_stats(rng: &mut TestRng) -> StatsBody {
-    StatsBody {
+fn gen_stats(rng: &mut TestRng) -> ServerStats {
+    ServerStats {
         requests_received: rng.gen(),
         requests_served: rng.gen(),
         rejected_busy: rng.gen(),
@@ -141,7 +142,7 @@ fn gen_stats(rng: &mut TestRng) -> StatsBody {
         batch_size_offset: rng.gen(),
         p999_latency_us: rng.gen(),
         stage_latency_ns: (0..rng.gen_range(0usize..8))
-            .map(|_| StageLatencyBody {
+            .map(|_| StageLatency {
                 stage: gen_string(rng),
                 p50_ns: rng.gen(),
                 p99_ns: rng.gen(),
@@ -150,8 +151,8 @@ fn gen_stats(rng: &mut TestRng) -> StatsBody {
     }
 }
 
-fn gen_trace(rng: &mut TestRng) -> TraceBody {
-    TraceBody {
+fn gen_trace(rng: &mut TestRng) -> RequestTrace {
+    RequestTrace {
         trace_id: gen_seed(rng),
         model: gen_string(rng),
         seed: gen_seed(rng),
@@ -161,9 +162,10 @@ fn gen_trace(rng: &mut TestRng) -> TraceBody {
         ok: rng.gen_range(0u32..2) == 0,
         backend: gen_string(rng),
         spans: (0..rng.gen_range(0usize..12))
-            .map(|_| TraceSpanBody {
+            .map(|_| TraceSpan {
                 stage: rng.gen(),
-                layer: rng.gen(),
+                // u32::MAX is the encoded "no layer" sentinel.
+                layer: (rng.gen_range(0u32..4) != 0).then(|| rng.gen_range(0..u32::MAX)),
                 start_ns: rng.gen(),
                 end_ns: rng.gen(),
                 kernel: rng.gen(),
@@ -176,43 +178,45 @@ fn gen_trace(rng: &mut TestRng) -> TraceBody {
 
 fn gen_frame(rng: &mut TestRng) -> Frame {
     match rng.gen_range(0u32..12) {
-        0 => Frame::InferRequest {
+        0 => Frame::Request(Request::Infer {
             model: gen_string(rng),
             seed: gen_seed(rng),
             input: (0..rng.gen_range(0usize..40))
                 .map(|_| gen_f32(rng))
                 .collect(),
-        },
-        1 => Frame::StatsRequest,
-        2 => Frame::ListModelsRequest,
-        3 => Frame::PingRequest,
-        4 => Frame::InferReply {
+        }),
+        1 => Frame::Request(Request::Stats),
+        2 => Frame::Request(Request::ListModels),
+        3 => Frame::Request(Request::Ping),
+        4 => Frame::Response(Response::Infer(InferenceReply {
             model: gen_string(rng),
-            predicted: rng.gen(),
+            predicted: rng.gen::<u64>() as usize,
             logits: (0..rng.gen_range(0usize..20))
                 .map(|_| gen_f32(rng))
                 .collect(),
-            total_spikes: rng.gen(),
+            total_spikes: rng.gen::<u64>() as usize,
             latency_us: rng.gen(),
             trace_id: gen_seed(rng),
-        },
-        5 => Frame::StatsReply(gen_stats(rng)),
-        6 => Frame::ModelsReply(
+        })),
+        5 => Frame::Response(Response::Stats(gen_stats(rng))),
+        6 => Frame::Response(Response::Models(
             (0..rng.gen_range(0usize..6))
                 .map(|_| gen_string(rng))
                 .collect(),
-        ),
-        7 => Frame::PongReply,
-        8 => Frame::ErrorReply {
+        )),
+        7 => Frame::Response(Response::Pong),
+        8 => Frame::Response(Response::Error {
             code: gen_string(rng),
             message: gen_string(rng),
-        },
-        9 => Frame::TraceRequest { last: rng.gen() },
-        10 => Frame::TraceReply(
+        }),
+        9 => Frame::Request(Request::Trace {
+            last: rng.gen::<u32>() as usize,
+        }),
+        10 => Frame::Response(Response::Trace(
             (0..rng.gen_range(0usize..4))
                 .map(|_| gen_trace(rng))
                 .collect(),
-        ),
+        )),
         _ => Frame::Raster(gen_raster(rng)),
     }
 }
@@ -230,12 +234,12 @@ fn gen_tensor(rng: &mut TestRng) -> Tensor {
     Tensor::from_vec(data, &[rows, cols]).expect("tensor")
 }
 
-fn gen_noise(rng: &mut TestRng, top_level: bool) -> NoiseDesc {
+fn gen_noise(rng: &mut TestRng, top_level: bool) -> NoiseSpec {
     match rng.gen_range(0u32..if top_level { 4 } else { 3 }) {
-        0 => NoiseDesc::Clean,
-        1 => NoiseDesc::Deletion(gen_f64(rng)),
-        2 => NoiseDesc::Jitter(gen_f64(rng)),
-        _ => NoiseDesc::Composite(
+        0 => NoiseSpec::Clean,
+        1 => NoiseSpec::Deletion(gen_f64(rng)),
+        2 => NoiseSpec::Jitter(gen_f64(rng)),
+        _ => NoiseSpec::Composite(
             (0..rng.gen_range(0usize..4))
                 .map(|_| gen_noise(rng, false))
                 .collect(),
@@ -243,13 +247,13 @@ fn gen_noise(rng: &mut TestRng, top_level: bool) -> NoiseDesc {
     }
 }
 
-fn gen_layer(rng: &mut TestRng) -> LayerDesc {
+fn gen_layer(rng: &mut TestRng) -> LayerSpec {
     match rng.gen_range(0u32..3) {
-        0 => LayerDesc::Linear {
+        0 => LayerSpec::Linear {
             out: rng.gen_range(0usize..100),
             input: rng.gen_range(0usize..100),
         },
-        1 => LayerDesc::Conv {
+        1 => LayerSpec::Conv {
             out_channels: rng.gen_range(1usize..8),
             in_channels: rng.gen_range(1usize..4),
             in_height: rng.gen_range(1usize..32),
@@ -258,7 +262,7 @@ fn gen_layer(rng: &mut TestRng) -> LayerDesc {
             stride: rng.gen_range(1usize..3),
             padding: rng.gen_range(0usize..3),
         },
-        _ => LayerDesc::AvgPool {
+        _ => LayerSpec::AvgPool {
             channels: rng.gen_range(1usize..8),
             in_height: rng.gen_range(1usize..32),
             in_width: rng.gen_range(1usize..32),
@@ -354,13 +358,13 @@ fn models_round_trip_bitwise_including_weights() {
 proptest::proptest! {
     #[test]
     fn seeds_above_2_53_survive_infer_frames(seed in 0u64..=u64::MAX) {
-        let frame = Frame::InferRequest {
+        let frame = Frame::Request(Request::Infer {
             model: "m".to_string(),
             seed,
             input: vec![0.5],
-        };
+        });
         let back = decode_frame(&encode_frame(&frame).unwrap()).unwrap();
-        let Frame::InferRequest { seed: back_seed, .. } = back else {
+        let Frame::Request(Request::Infer { seed: back_seed, .. }) = back else {
             panic!("wrong frame type");
         };
         prop_assert_eq!(back_seed, seed);
@@ -369,16 +373,18 @@ proptest::proptest! {
     #[test]
     fn logit_bits_survive_infer_replies(bits in 0u32..=u32::MAX) {
         let value = f32::from_bits(bits);
-        let frame = Frame::InferReply {
+        let frame = Frame::Response(Response::Infer(InferenceReply {
             model: "m".to_string(),
             predicted: 0,
             logits: vec![value],
             total_spikes: 0,
             latency_us: 0,
             trace_id: 0,
-        };
+        }));
         let bytes = encode_frame(&frame).unwrap();
-        let Frame::InferReply { logits, .. } = decode_frame(&bytes).unwrap() else {
+        let Frame::Response(Response::Infer(InferenceReply { logits, .. })) =
+            decode_frame(&bytes).unwrap()
+        else {
             panic!("wrong frame type");
         };
         // Bit comparison, not ==: NaN payloads and -0.0 must survive too.

@@ -1,16 +1,16 @@
 //! Load generator for the `nrsnn-serve` inference server: trains a small
 //! pipeline, exports the paper's robust configuration (TTAS + weight
-//! scaling) as a serialized model file, serves it over TCP on an ephemeral
-//! port, and drives it with N concurrent clients while printing throughput
-//! and the server's own metrics (batch histogram, p50/p99 latency,
-//! spikes/inference).
+//! scaling) as a binary `NRSM` model file, serves it over TCP on an
+//! ephemeral port, and drives it with N concurrent clients while printing
+//! throughput and the server's own metrics (batch histogram, p50/p99
+//! latency, spikes/inference).
 //!
 //! Run with:
 //! ```text
 //! cargo run --release --example serve_loadgen
 //! cargo run --release --example serve_loadgen -- --clients 8 --requests 32
 //! cargo run --release --example serve_loadgen -- --smoke   # tiny CI run
-//! cargo run --release --example serve_loadgen -- --binary  # binary wire + model file
+//! cargo run --release --example serve_loadgen -- --binary  # binary-framing clients
 //! cargo run --release --example serve_loadgen -- --report  # per-stage latency table + traces
 //! NRSNN_THREADS=4 cargo run --release --example serve_loadgen
 //! ```
@@ -18,6 +18,7 @@
 use std::time::{Duration, Instant};
 
 use nrsnn::prelude::*;
+use nrsnn_obs::{KernelPath, Stage};
 use nrsnn_serve::{ModelRegistry, ModelSpec, NoiseSpec, Server, ServerConfig, TcpClient};
 
 const MODEL: &str = "mnist-ttas5-ws";
@@ -90,8 +91,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .time_steps(if options.smoke { 64 } else { 96 })
         .build(&pipeline)?;
 
-    // 2. Export the converted network as a serialized model file and load
-    //    it back through the registry — the same path a deployment uses.
+    // 2. Export the converted network as an NRSM model file and load it
+    //    back through the registry — the same path a deployment uses.
     let spec = ModelSpec::from_network(
         MODEL,
         &robust.network,
@@ -101,26 +102,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         robust.scaling.factor(),
         MASTER_SEED,
     );
-    // `--binary` exercises the compact `NRSM` model format; the registry
-    // sniffs the format from the file's first byte either way.
-    let model_path = std::env::temp_dir().join(if options.binary {
-        "nrsnn_serve_loadgen_model.nrsm"
-    } else {
-        "nrsnn_serve_loadgen_model.json"
-    });
-    if options.binary {
-        std::fs::write(&model_path, spec.to_binary()?)?;
-    } else {
-        std::fs::write(&model_path, spec.to_json())?;
-    }
+    let model_path = std::env::temp_dir().join("nrsnn_serve_loadgen_model.nrsm");
+    std::fs::write(&model_path, spec.to_binary()?)?;
     println!(
-        "exported {} model file: {} ({} bytes)",
-        if options.binary { "binary" } else { "JSON" },
+        "exported NRSM model file: {} ({} bytes)",
         model_path.display(),
         std::fs::metadata(&model_path)?.len()
     );
     let mut registry = ModelRegistry::new();
-    registry.load_file(&model_path)?;
+    let loaded = registry.load_file(&model_path);
+    std::fs::remove_file(&model_path)?;
+    loaded?;
 
     // 3. Serve it over TCP on an ephemeral port.
     let mut server = Server::start(
@@ -253,12 +245,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let layer = span
                     .layer
                     .map_or_else(String::new, |l| format!(" layer {l}"));
-                let kernel = span.kernel.as_ref().map_or_else(String::new, |k| {
-                    format!(" [{k}, density {:.3}]", span.density)
-                });
+                let kernel = KernelPath::from_code(span.kernel)
+                    .and_then(KernelPath::as_str)
+                    .map_or_else(String::new, |k| {
+                        format!(" [{k}, density {:.3}]", span.density)
+                    });
                 println!(
                     "  {:<16}{layer}{kernel} {:>10.1} us ({:>4.1}%)",
-                    span.stage,
+                    Stage::from_code(span.stage).map_or("?", Stage::as_str),
                     span_ns as f64 / 1_000.0,
                     span_ns as f64 * 100.0 / total_ns as f64
                 );
@@ -271,7 +265,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     server.shutdown();
-    std::fs::remove_file(&model_path).ok();
     println!("server shut down cleanly");
     Ok(())
 }

@@ -93,15 +93,16 @@ fn tcp_server_serves_64_concurrent_requests_bit_identically() {
         2.0,
         MASTER_SEED,
     );
-    // Register through the on-disk **binary** model path (write → sniff →
-    // decode → build), and check it agrees with the JSON path bit-for-bit
-    // at the spec level.
+    // Register through the on-disk binary model path (write → decode →
+    // build), after checking the model file round-trips: an equal spec that
+    // re-encodes to the same bytes, so weights survive bit for bit.
     let binary_bytes = spec.to_binary().expect("encode binary model");
     let reloaded = ModelSpec::from_binary(&binary_bytes).expect("decode binary model");
+    assert_eq!(reloaded, spec, "binary model round-trip");
     assert_eq!(
-        reloaded.to_json(),
-        spec.to_json(),
-        "binary model round-trip"
+        reloaded.to_binary().expect("re-encode binary model"),
+        binary_bytes,
+        "binary model round-trip is bit-exact"
     );
     let model_path = std::env::temp_dir().join("nrsnn_serve_e2e_model.nrsm");
     std::fs::write(&model_path, &binary_bytes).expect("write model file");
