@@ -468,10 +468,20 @@ pub fn encode_line<T: JsonCodec>(value: &T) -> String {
     line
 }
 
+/// Adapts a [`JsonCodec`] message to the shim's `Deserialize`, so a line
+/// parses straight into the message without an intermediate copy of its
+/// JSON tree.
+struct Line<T>(T);
+
+impl<T: JsonCodec> Deserialize for Line<T> {
+    fn from_value(value: &Value) -> std::result::Result<Self, DeError> {
+        T::from_json(value).map(Line)
+    }
+}
+
 /// Parses one wire line into a message.
 fn parse_line<T: JsonCodec>(line: &str) -> std::result::Result<T, serde_json::Error> {
-    let value: Value = serde_json::from_str(line.trim())?;
-    Ok(T::from_json(&value)?)
+    serde_json::from_str(line.trim()).map(|Line(message)| message)
 }
 
 /// Parses one wire line into a request.

@@ -80,6 +80,21 @@ impl ByteWriter {
         self.put_u64(v.to_bits());
     }
 
+    /// Appends a `u32`-count-prefixed sequence of `f32`s as raw IEEE bits.
+    ///
+    /// # Errors
+    /// Returns [`WireError::InvalidPayload`] for more than `u32::MAX`
+    /// values.
+    pub fn put_f32s(&mut self, values: &[f32]) -> Result<()> {
+        self.put_len(values.len())?;
+        let start = self.buf.len();
+        self.buf.resize(start + 4 * values.len(), 0);
+        for (dst, v) in self.buf[start..].chunks_exact_mut(4).zip(values) {
+            dst.copy_from_slice(&v.to_bits().to_le_bytes());
+        }
+        Ok(())
+    }
+
     /// Appends a `usize` as a `u32`, rejecting values that do not fit (no
     /// structure in this workspace legitimately exceeds 2^32 elements).
     ///
@@ -235,6 +250,21 @@ impl<'a> ByteReader<'a> {
             });
         }
         Ok(count)
+    }
+
+    /// Reads a `u32`-count-prefixed sequence of `f32`s (the inverse of
+    /// [`ByteWriter::put_f32s`]).
+    ///
+    /// # Errors
+    /// Returns [`WireError::Truncated`] if the announced values are not all
+    /// present.
+    pub fn get_f32s(&mut self) -> Result<Vec<f32>> {
+        let len = self.get_len(4)?;
+        let bytes = self.take(4 * len)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect())
     }
 
     /// Reads a `u32`-byte-length-prefixed UTF-8 string.

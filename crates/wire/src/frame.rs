@@ -349,23 +349,6 @@ impl Frame {
     }
 }
 
-fn put_f32s(w: &mut ByteWriter, values: &[f32]) -> Result<()> {
-    w.put_len(values.len())?;
-    for &v in values {
-        w.put_f32(v);
-    }
-    Ok(())
-}
-
-fn get_f32s(r: &mut ByteReader<'_>) -> Result<Vec<f32>> {
-    let len = r.get_len(4)?;
-    let mut values = Vec::with_capacity(len);
-    for _ in 0..len {
-        values.push(r.get_f32()?);
-    }
-    Ok(values)
-}
-
 fn get_usize(r: &mut ByteReader<'_>, what: &str) -> Result<usize> {
     let v = r.get_u64()?;
     usize::try_from(v)
@@ -376,7 +359,7 @@ impl InferenceReply {
     fn write(&self, w: &mut ByteWriter) -> Result<()> {
         w.put_str(&self.model)?;
         w.put_u64(self.predicted as u64);
-        put_f32s(w, &self.logits)?;
+        w.put_f32s(&self.logits)?;
         w.put_u64(self.total_spikes as u64);
         w.put_u64(self.latency_us);
         w.put_u64(self.trace_id);
@@ -387,7 +370,7 @@ impl InferenceReply {
         Ok(InferenceReply {
             model: r.get_str()?,
             predicted: get_usize(r, "predicted index")?,
-            logits: get_f32s(r)?,
+            logits: r.get_f32s()?,
             total_spikes: get_usize(r, "spike count")?,
             latency_us: r.get_u64()?,
             trace_id: r.get_u64()?,
@@ -557,7 +540,7 @@ pub fn encode_payload(frame: &Frame) -> Result<Vec<u8>> {
             Request::Infer { model, seed, input } => {
                 w.put_str(model)?;
                 w.put_u64(*seed);
-                put_f32s(&mut w, input)?;
+                w.put_f32s(input)?;
             }
             Request::Stats | Request::ListModels | Request::Ping => {}
             Request::Trace { last } => w.put_u32(u32::try_from(*last).unwrap_or(u32::MAX)),
@@ -601,7 +584,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame> {
         TAG_INFER_REQUEST => Frame::Request(Request::Infer {
             model: r.get_str()?,
             seed: r.get_u64()?,
-            input: get_f32s(&mut r)?,
+            input: r.get_f32s()?,
         }),
         TAG_STATS_REQUEST => Frame::Request(Request::Stats),
         TAG_LIST_MODELS_REQUEST => Frame::Request(Request::ListModels),
@@ -820,6 +803,20 @@ mod tests {
             assert_eq!(back, frame);
             assert_eq!(encode_frame(&back).unwrap(), bytes);
         }
+    }
+
+    #[test]
+    fn oversized_trace_budgets_saturate_at_u32_max() {
+        let frame = Frame::Request(Request::Trace {
+            last: u64::MAX as usize,
+        });
+        let back = decode_frame(&encode_frame(&frame).unwrap()).unwrap();
+        assert_eq!(
+            back,
+            Frame::Request(Request::Trace {
+                last: u32::MAX as usize
+            })
+        );
     }
 
     #[test]
