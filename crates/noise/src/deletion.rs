@@ -118,21 +118,10 @@ impl SpikeTransform for DeletionNoise {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FixedWord;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    /// An RNG that returns one fixed word forever.
-    struct FixedWord(u64);
-
-    impl RngCore for FixedWord {
-        fn next_u32(&mut self) -> u32 {
-            (self.0 >> 32) as u32
-        }
-        fn next_u64(&mut self) -> u64 {
-            self.0
-        }
-    }
 
     /// Whether the kernel keeps a one-spike train under word `w`, next to
     /// the floating-point reference `unit(w) >= p` it replaces.

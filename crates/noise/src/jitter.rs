@@ -17,6 +17,9 @@ const TABLE_SIGMAS: f64 = 8.5;
 /// times and leave sort-and-merge to the raster's normalisation.
 const BITMAP_STEPS: u32 = 1024;
 
+/// `B`: the guide splits the `2^53` draws into `2^B` equal buckets.
+const GUIDE_BITS: u32 = 8;
+
 /// Spike-time jitter: every spike time is shifted by `round(σ·Z)` with
 /// `Z ~ N(0, 1)` — a zero-mean Gaussian of standard deviation `σ`
 /// quantised to integer time steps — and clamped to the window (the
@@ -36,6 +39,13 @@ const BITMAP_STEPS: u32 = 1024;
 /// shift `k` whose cell `[cut_{k−1}, cut_k)` holds `w >> 11`.  A cell's
 /// probability is the Gaussian mass of `((k−½)/σ, (k+½)/σ)` to within
 /// `2e-15`; the per-spike path calls no libm function.
+///
+/// The cell is found through a guide table: `guide[b]` counts the cuts at
+/// or below `b·2^45`, the lower edge of bucket `b` among `2^8` equal
+/// buckets of draws.  A draw in bucket `b` has between `guide[b]` and
+/// `guide[b+1]` cuts at or below it, so the lookup binary-searches only
+/// that bucket's cuts, and returns exactly the shift a search of the whole
+/// table would — the same shift for every RNG word.
 ///
 /// ```
 /// use nrsnn_noise::JitterNoise;
@@ -61,14 +71,17 @@ pub struct JitterNoise {
     /// `cut_k` for `k = −K … K−1` (index `k + K`), non-decreasing.  Empty
     /// at `σ = 0`, which is the identity and draws nothing.
     cuts: Box<[u64]>,
+    /// `2^B + 1` entries: `guide[b]` is the number of cuts `≤ b·2^(53−B)`,
+    /// so `guide[2^B] == cuts.len()`.  Empty at `σ = 0`, like `cuts`.
+    guide: Box<[u32]>,
 }
 
 impl JitterNoise {
     /// Largest accepted `σ`, in time steps.  The shift table holds
-    /// `2·(⌈8.5σ⌉ + 1)` words, about 136 KiB at this bound; far larger
-    /// values (say, read from a model file) would ask for an unbounded
-    /// allocation, and already clamp nearly every spike of any practical
-    /// window to its edges.
+    /// `2·(⌈8.5σ⌉ + 1)` words, about 136 KiB at this bound plus the 1 KiB
+    /// guide; far larger values (say, read from a model file) would ask
+    /// for an unbounded allocation, and already clamp nearly every spike
+    /// of any practical window to its edges.
     pub const MAX_SIGMA: f64 = 1024.0;
 
     /// Creates a jitter model with standard deviation `sigma` (in time
@@ -94,23 +107,32 @@ impl JitterNoise {
                 sigma,
                 radius: 0,
                 cuts: Box::default(),
+                guide: Box::default(),
             });
         }
         let radius = (TABLE_SIGMAS * sigma).ceil() as i64 + 1;
         // A running maximum keeps the table sorted where rounding could
         // invert neighbours in the far tail (cells far below 2^-53).
         let mut floor = 0u64;
-        let cuts = (-radius..radius)
+        let cuts: Box<[u64]> = (-radius..radius)
             .map(|k| {
                 let phi = normal_cdf((k as f64 + 0.5) / sigma);
                 floor = floor.max(((phi * UNIT).floor() as u64).min(1 << 53));
                 floor
             })
             .collect();
+        // At most 2·(8704 + 1) cuts (σ = MAX_SIGMA), so counts fit in u32.
+        let guide = (0..=1u64 << GUIDE_BITS)
+            .map(|b| {
+                let edge = b << (53 - GUIDE_BITS);
+                cuts.partition_point(|&cut| cut <= edge) as u32
+            })
+            .collect();
         Ok(JitterNoise {
             sigma,
             radius,
             cuts,
+            guide,
         })
     }
 
@@ -120,10 +142,16 @@ impl JitterNoise {
     }
 
     /// One quantised shift from one RNG word: the number of cuts at or
-    /// below the draw's top 53 bits, re-centred on zero.
+    /// below the draw's top 53 bits, re-centred on zero.  Only the cuts in
+    /// the draw's guide bucket are searched; the rest are known to lie on
+    /// one side of it.
     fn shift(&self, rng: &mut dyn RngCore) -> i64 {
         let draw = rng.next_u64() >> 11;
-        self.cuts.partition_point(|&cut| cut <= draw) as i64 - self.radius
+        let bucket = (draw >> (53 - GUIDE_BITS)) as usize;
+        let lo = self.guide[bucket] as usize;
+        let hi = self.guide[bucket + 1] as usize;
+        let count = lo + self.cuts[lo..hi].partition_point(|&cut| cut <= draw);
+        count as i64 - self.radius
     }
 
     /// Jitters one train in place, one RNG word per spike in spike order —
@@ -252,6 +280,7 @@ impl SpikeTransform for JitterNoise {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FixedWord;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -333,6 +362,52 @@ mod tests {
         }
     }
 
+    /// The shift for a 53-bit draw from a search of the whole cut table —
+    /// the oracle for the guide lookup in `JitterNoise::shift`.
+    fn full_table_shift(noise: &JitterNoise, draw: u64) -> i64 {
+        noise.cuts.partition_point(|&cut| cut <= draw) as i64 - noise.radius
+    }
+
+    #[test]
+    fn guide_lookup_matches_full_table_search() {
+        const TOP: u64 = (1 << 53) - 1;
+        let sigmas = (1..=8).map(|i| f64::from(i) * 0.5);
+        for sigma in sigmas.chain([40.0, JitterNoise::MAX_SIGMA]) {
+            let noise = JitterNoise::new(sigma).unwrap();
+            assert_eq!(noise.guide.len(), (1 << GUIDE_BITS) + 1, "sigma {sigma}");
+            assert_eq!(
+                noise.guide[1 << GUIDE_BITS] as usize,
+                noise.cuts.len(),
+                "sigma {sigma}"
+            );
+            assert!(
+                noise.guide.windows(2).all(|w| w[0] <= w[1]),
+                "sigma {sigma}"
+            );
+            // Every cut and bucket edge (0 … 2^53) with its neighbours, then
+            // random draws.
+            let edges = (0..=1u64 << GUIDE_BITS).map(|b| b << (53 - GUIDE_BITS));
+            let mut random = StdRng::seed_from_u64(sigma.to_bits());
+            let draws = noise
+                .cuts
+                .iter()
+                .copied()
+                .chain(edges)
+                .flat_map(|x| [x.saturating_sub(1), x, x + 1])
+                .chain((0..100_000).map(|_| random.next_u64() >> 11))
+                .map(|d| d.min(TOP));
+            for draw in draws {
+                // The low 11 bits are set: the lookup must ignore them.
+                let got = noise.shift(&mut FixedWord(draw << 11 | 0x7ff));
+                assert_eq!(
+                    got,
+                    full_table_shift(&noise, draw),
+                    "sigma {sigma} draw {draw}"
+                );
+            }
+        }
+    }
+
     /// Every spike time shifted by its own draw, clamped, then sorted and
     /// merged: the oracle for both of the kernel's branches.
     fn shift_sort_merge(
@@ -346,7 +421,10 @@ mod tests {
             .map(|(_, train)| {
                 let mut out: Vec<u32> = train
                     .iter()
-                    .map(|&t| (i64::from(t) + noise.shift(rng)).clamp(0, max_t) as u32)
+                    .map(|&t| {
+                        let shift = full_table_shift(noise, rng.next_u64() >> 11);
+                        (i64::from(t) + shift).clamp(0, max_t) as u32
+                    })
                     .collect();
                 out.sort_unstable();
                 out.dedup();

@@ -15,7 +15,8 @@
 //! Both draw exactly one RNG word per spike, in neuron then spike order.
 //! Deletion compares the word's top 53 bits against an integer cut
 //! `⌈p·2^53⌉`; jitter looks them up in a table of quantised-Gaussian cuts
-//! built once per model, so neither calls a libm function per spike.
+//! built once per model, searching only the cuts in the draw's bucket of a
+//! 256-bucket guide table, so neither calls a libm function per spike.
 //!
 //! Both implement the [`SpikeTransform`](nrsnn_snn::SpikeTransform) hook of
 //! `nrsnn-snn`, so they can be
@@ -110,3 +111,17 @@ const UNIT: f64 = (1u64 << 53) as f64;
 
 /// Convenient result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, NoiseError>;
+
+/// An RNG that returns one fixed word forever: pins a model's draw in tests.
+#[cfg(test)]
+struct FixedWord(u64);
+
+#[cfg(test)]
+impl rand::RngCore for FixedWord {
+    fn next_u32(&mut self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.0
+    }
+}
