@@ -18,8 +18,9 @@
 //! the coding layer in isolation: per-coding, per-ISA encode-only and
 //! decode-only rows, equality-gated train-for-train before timing.  A
 //! fourth section is the noise ledger: nanoseconds per input spike of
-//! deletion and jitter `apply_into` on rate- and TTAS(5)-coded 784-wide
-//! rasters, each gated on equality with the allocating `apply`.
+//! deletion (p = 0.5) and jitter (σ = 2, and σ = 0.5 / 4 at the ends of the
+//! Fig. 8 sweep) `apply_into` on rate- and TTAS(5)-coded 784-wide rasters,
+//! each gated on equality with the allocating `apply`.
 //!
 //! ```text
 //! cargo bench -p nrsnn-bench --bench sim_throughput
@@ -503,11 +504,19 @@ fn noise_throughput_report() {
     let inputs = &pipeline.dataset().test.inputs;
     let deletion = DeletionNoise::new(0.5).expect("deletion");
     let jitter = JitterNoise::new(2.0).expect("jitter");
-    let models: [(&str, &dyn SpikeTransform); 2] = [("deletion", &deletion), ("jitter", &jitter)];
+    let jitter_low = JitterNoise::new(0.5).expect("jitter");
+    let jitter_high = JitterNoise::new(4.0).expect("jitter");
+    // Plain "jitter" is σ = 2; the other two name their σ.
+    let models: [(&str, &dyn SpikeTransform); 4] = [
+        ("deletion", &deletion),
+        ("jitter", &jitter),
+        ("jitter0.5", &jitter_low),
+        ("jitter4", &jitter_high),
+    ];
     let mut entries: Vec<(String, f64)> = Vec::new();
     println!("\n==== Noise layer (784-wide rasters, T = {NOISE_STEPS}, apply_into) ====");
     println!(
-        "{:<10}{:<10}{:>16}{:>14}",
+        "{:<10}{:<12}{:>16}{:>14}",
         "coding", "noise", "spikes/raster", "ns/spike"
     );
     for kind in [CodingKind::Rate, CodingKind::Ttas(5)] {
@@ -544,7 +553,7 @@ fn noise_throughput_report() {
                 .1;
             let ns_per_spike = 1e9 / spikes_per_s;
             let per_raster = spikes as f64 / SAMPLES as f64;
-            println!("{key:<10}{name:<10}{per_raster:>16.1}{ns_per_spike:>14.2}");
+            println!("{key:<10}{name:<12}{per_raster:>16.1}{ns_per_spike:>14.2}");
             entries.push((format!("{name}_{key}_ns_per_spike"), ns_per_spike));
         }
         entries.push((
