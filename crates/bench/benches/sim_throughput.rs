@@ -16,8 +16,9 @@
 //! the coding layer itself went lane-blocked, removing the scalar
 //! encode/decode term from Amdahl's denominator.  A third section times
 //! the coding layer in isolation: per-coding, per-ISA encode-only and
-//! decode-only rows, equality-gated train-for-train before timing.  A
-//! fourth section is the noise ledger: nanoseconds per input spike of
+//! decode-only rows, equality-gated train-for-train before timing, and
+//! the direct convolution on the CNN's two conv shapes per ISA, gated on
+//! bit-equal outputs.  A fourth section is the noise ledger: nanoseconds per input spike of
 //! deletion (p = 0.5) and jitter (σ = 2, and σ = 0.5 / 4 at the ends of the
 //! Fig. 8 sweep) `apply_into` on rate- and TTAS(5)-coded 784-wide rasters,
 //! each gated on equality with the allocating `apply`.
@@ -34,6 +35,7 @@ use nrsnn_bench::{bench_sweep_config, cifar10_pipeline, mnist_pipeline, record_b
 use nrsnn_runtime::derive_seed;
 use nrsnn_snn::{CodingScratch, SpikeRaster, SpikeTransform};
 use nrsnn_tensor::simd::{active_backend, available_backends, set_backend, SimdBackend};
+use nrsnn_tensor::{conv2d_bias_slices, Conv2dGeometry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -367,6 +369,9 @@ fn simd_throughput_report() {
         }
     }
 
+    // The CNN's two conv shapes, kernel only.
+    conv_kernel_report(&isas, &mut entries);
+
     // Coding-layer microbenches: block encode and decode in isolation.
     coding_micro_report(pipeline, time_steps, &isas, &mut entries);
     assert_eq!(set_backend(previous), previous);
@@ -378,6 +383,83 @@ fn simd_throughput_report() {
         "SIMD speedup floors violated:\n  {}",
         floor_failures.join("\n  ")
     );
+}
+
+/// Conv-kernel rows per ISA: ns per [`conv2d_bias_slices`] call on the
+/// CIFAR-10 preset's two conv shapes (3×16×16 → 12 and 12×8×8 → 24, k3 s1
+/// p1), over [`SAMPLES`] synthetic inputs with ~70 % nonzero entries (the
+/// measured decoded density entering those layers).  Every ISA must
+/// reproduce the scalar backend's outputs bit for bit before it is timed.
+fn conv_kernel_report(isas: &[SimdBackend], entries: &mut Vec<(String, f64)>) {
+    println!("\n==== Conv kernel (CIFAR-10 preset shapes, per ISA) ====");
+    println!(
+        "{:<20}{:<10}{:>14}{:>12}",
+        "shape", "backend", "ns/call", "speedup"
+    );
+    for (in_ch, side, out_ch) in [(3usize, 16usize, 12usize), (12, 8, 24)] {
+        let geom = Conv2dGeometry::new(in_ch, side, side, 3, 1, 1).expect("geometry");
+        let key = format!("conv_{in_ch}x{side}x{side}_to{out_ch}");
+        let inputs: Vec<Vec<f32>> = (0..SAMPLES)
+            .map(|s| {
+                (0..geom.in_len())
+                    .map(|i| {
+                        let h = (i * 7919 + s * 104_729) % 1000;
+                        if h < 300 {
+                            0.0
+                        } else {
+                            h as f32 / 1000.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let weights: Vec<f32> = (0..out_ch * geom.patch_len())
+            .map(|i| (i as f32 * 0.618).sin() * 0.5)
+            .collect();
+        let bias: Vec<f32> = (0..out_ch).map(|c| c as f32 * 0.01 - 0.05).collect();
+        let mut unfold = vec![0.0f32; geom.patch_len() * geom.out_positions()];
+        let mut out = vec![0.0f32; out_ch * geom.out_positions()];
+        let mut digest = || -> Vec<u32> {
+            let mut bits = Vec::new();
+            for x in &inputs {
+                conv2d_bias_slices(x, &geom, &weights, &bias, &mut unfold, &mut out);
+                bits.extend(out.iter().map(|v| v.to_bits()));
+            }
+            bits
+        };
+        assert_eq!(set_backend(SimdBackend::Scalar), SimdBackend::Scalar);
+        let reference = digest();
+        for &isa in isas {
+            assert_eq!(set_backend(isa), isa, "requested backend must stick");
+            assert!(
+                digest() == reference,
+                "{key}: {} conv kernel diverged from the scalar reference",
+                isa.name()
+            );
+        }
+        let rates = best_rates(isas, SAMPLES, || {
+            for x in &inputs {
+                conv2d_bias_slices(x, &geom, &weights, &bias, &mut unfold, &mut out);
+                black_box(&out);
+            }
+        });
+        let scalar_rate = rates[0].1;
+        for &(isa, rate) in &rates {
+            let speedup = rate / scalar_rate;
+            let ns_per_call = 1e9 / rate;
+            println!(
+                "{:<20}{:<10}{:>14.1}{:>11.2}x",
+                key,
+                isa.name(),
+                ns_per_call,
+                speedup
+            );
+            entries.push((format!("{key}_{}_ns_per_call", isa.name()), ns_per_call));
+            if isa != SimdBackend::Scalar {
+                entries.push((format!("{key}_{}_speedup_vs_scalar", isa.name()), speedup));
+            }
+        }
+    }
 }
 
 /// Encode-only and decode-only rows per coding, per ISA, on the MLP's

@@ -1,23 +1,25 @@
 //! Converted spiking networks and their clock-driven simulation.
 //!
-//! Two simulation paths share one arithmetic core and produce bit-identical
-//! results:
+//! Two simulation paths produce bit-identical results:
 //!
 //! * the **workspace path** — [`SnnNetwork::simulate_with`] /
 //!   [`SnnNetwork::simulate_batch`] write every intermediate (rasters,
-//!   decoded activations, matmul scratch) into a caller-provided
-//!   [`SimWorkspace`], allocating nothing in steady state;
+//!   decoded activations, the convolution's unfolded input) into a
+//!   caller-provided [`SimWorkspace`], allocating nothing in steady state;
 //! * the **reference path** — [`SnnNetwork::simulate_unbuffered`] keeps the
-//!   original allocate-per-call implementation as an executable
-//!   specification; the `workspace_bit_identity` integration tests assert
-//!   byte-for-byte equality between the two, and the `sim_throughput` bench
-//!   measures the speedup.
+//!   original allocate-per-call implementation, with the convolution
+//!   written as plain loops, as an executable specification; the
+//!   `workspace_bit_identity` integration tests assert byte-for-byte
+//!   equality between the two, and the `sim_throughput` bench measures the
+//!   speedup.
 //!
 //! Each weighted layer has exactly one forward kernel: the bias-seeded
-//! mat-vec for fully connected layers, and the bias-seeded, zero-skipping
-//! patch-matrix product for convolutions.  Spike sparsity still pays where
-//! it is free: silent trains cost nothing in the noise models, the
-//! convolution skips exact-zero patch entries, and each layer's measured
+//! mat-vec for fully connected layers, and the bias-seeded direct
+//! convolution ([`nrsnn_tensor::conv2d_bias_slices`]) for convolutions,
+//! which accumulates each output channel in registers across output
+//! positions and writes the channel-major layout the next layer reads.
+//! Both kernels are dense: spike sparsity pays where it is free — silent
+//! trains cost nothing in the noise models — and each layer's measured
 //! raster density is recorded for tracing
 //! ([`SimWorkspace::density_per_layer`]).
 //!
@@ -31,8 +33,7 @@ use std::ops::Range;
 use std::time::Instant;
 
 use nrsnn_tensor::{
-    im2col, im2col_slices, matmul_sparse_into, matmul_sparse_slices, matvec_bias_slices, transpose,
-    transpose_slices, Conv2dGeometry, Pool2dGeometry, Tensor,
+    conv2d_bias_slices, matvec_bias_slices, Conv2dGeometry, Pool2dGeometry, Tensor,
 };
 use rand::RngCore;
 
@@ -110,34 +111,54 @@ impl SnnLayer {
     /// Weighted layers seed their accumulators from the bias and add the
     /// input terms in ascending index order — the exact operation order of
     /// the workspace kernels, so both simulation paths stay bit-identical.
-    fn forward_analog(&self, input: &[f32]) -> Result<Vec<f32>> {
+    /// The convolution is written as plain loops over `(c, oy, ox)` and the
+    /// patch entries `(ci, ky, kx)`, skipping exact-zero inputs and the
+    /// padding, so it checks the workspace path's SIMD kernel rather than
+    /// sharing it.
+    fn forward_analog(&self, input: &[f32]) -> Vec<f32> {
         match self {
             SnnLayer::Linear { weights, bias } => {
                 let (m, n) = (weights.dims()[0], weights.dims()[1]);
                 let mut out = vec![0.0f32; m];
                 matvec_bias_slices(weights.as_slice(), m, n, input, bias.as_slice(), &mut out);
-                Ok(out)
+                out
             }
             SnnLayer::Conv {
                 weights,
                 bias,
-                geometry,
+                geometry: g,
             } => {
-                let x = Tensor::from_slice(input);
-                let cols = im2col(&x, geometry)?;
-                let wt = transpose(weights)?;
-                // (positions x out_ch), bias folded into the accumulator seed.
-                let mut prod = Vec::new();
-                matmul_sparse_into(&cols, &wt, bias, &mut prod)?;
-                let positions = geometry.out_positions();
-                let out_ch = weights.dims()[0];
-                let mut out = vec![0.0f32; out_ch * positions];
-                for c in 0..out_ch {
-                    for p in 0..positions {
-                        out[c * positions + p] = prod[p * out_ch + c];
+                let (h, w, k) = (g.in_height, g.in_width, g.kernel);
+                let patch = g.patch_len();
+                let mut out = Vec::with_capacity(self.output_width());
+                for (c, &b) in bias.as_slice().iter().enumerate() {
+                    let wrow = &weights.as_slice()[c * patch..(c + 1) * patch];
+                    for oy in 0..g.out_height() {
+                        for ox in 0..g.out_width() {
+                            let mut acc = b + 0.0;
+                            for ci in 0..g.in_channels {
+                                for ky in 0..k {
+                                    for kx in 0..k {
+                                        let iy = (oy * g.stride + ky).checked_sub(g.padding);
+                                        let ix = (ox * g.stride + kx).checked_sub(g.padding);
+                                        let (Some(iy), Some(ix)) = (iy, ix) else {
+                                            continue;
+                                        };
+                                        if iy >= h || ix >= w {
+                                            continue;
+                                        }
+                                        let x = input[ci * h * w + iy * w + ix];
+                                        if x != 0.0 {
+                                            acc += x * wrow[(ci * k + ky) * k + kx];
+                                        }
+                                    }
+                                }
+                            }
+                            out.push(acc);
+                        }
                     }
                 }
-                Ok(out)
+                out
             }
             SnnLayer::AvgPool { geometry } => {
                 let g = geometry;
@@ -160,14 +181,14 @@ impl SnnLayer {
                         }
                     }
                 }
-                Ok(out)
+                out
             }
         }
     }
 
     /// Allocation-free analog forward pass: writes the layer output into
     /// `out` (cleared and resized, capacity kept), using `scratch` for the
-    /// convolution intermediates.
+    /// convolution's unfolded input.
     ///
     /// Performs the same floating-point operations in the same order as
     /// [`SnnLayer::forward_analog`], so the two produce bit-identical
@@ -185,36 +206,20 @@ impl SnnLayer {
                 bias,
                 geometry,
             } => {
-                let patch = geometry.patch_len();
                 let positions = geometry.out_positions();
-                let out_ch = weights.dims()[0];
-                scratch.cols.clear();
-                scratch.cols.resize(positions * patch, 0.0);
-                im2col_slices(input, geometry, &mut scratch.cols);
-                scratch.weights_t.clear();
-                scratch.weights_t.resize(patch * out_ch, 0.0);
-                transpose_slices(weights.as_slice(), out_ch, patch, &mut scratch.weights_t);
-                scratch.prod.clear();
-                scratch.prod.resize(positions * out_ch, 0.0);
-                // Bias-seeded and skipping exact-zero patch entries: the
-                // convolution's FLOPs scale with the number of nonzero
-                // decoded activations gathered into the patch matrix.
-                matmul_sparse_slices(
-                    &scratch.cols,
-                    positions,
-                    patch,
-                    &scratch.weights_t,
-                    out_ch,
-                    bias.as_slice(),
-                    &mut scratch.prod,
-                );
+                // The kernel overwrites the whole unfold, so it needs no
+                // clearing.
+                scratch.unfold.resize(geometry.patch_len() * positions, 0.0);
                 out.clear();
-                out.resize(out_ch * positions, 0.0);
-                for c in 0..out_ch {
-                    for p in 0..positions {
-                        out[c * positions + p] = scratch.prod[p * out_ch + c];
-                    }
-                }
+                out.resize(weights.dims()[0] * positions, 0.0);
+                conv2d_bias_slices(
+                    input,
+                    geometry,
+                    weights.as_slice(),
+                    bias.as_slice(),
+                    &mut scratch.unfold,
+                    out,
+                );
             }
             SnnLayer::AvgPool { geometry } => {
                 let g = geometry;
@@ -413,7 +418,7 @@ impl SnnNetwork {
                 actual: input.len(),
             });
         }
-        let mut out = layer.forward_analog(input)?;
+        let mut out = layer.forward_analog(input);
         if index + 1 < self.layers.len() {
             for v in &mut out {
                 *v = v.max(0.0);
@@ -506,7 +511,7 @@ impl SnnNetwork {
                 .map(|n| coding.decode(received.train(n), cfg))
                 .collect();
 
-            let mut activation = layer.forward_analog(&decoded)?;
+            let mut activation = layer.forward_analog(&decoded);
             let is_last = index + 1 == self.layers.len();
             if is_last {
                 logits = activation;

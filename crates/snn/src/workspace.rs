@@ -3,8 +3,8 @@
 //!
 //! One clock-driven SNN inference needs, per layer, a spike raster, a noisy
 //! copy of it, a decoded activation vector, a dense output vector and — for
-//! convolution layers — an `im2col` patch matrix, a transposed kernel bank
-//! and their product.  The original `SnnNetwork::simulate` allocated all of
+//! convolution layers — the unfolded input the direct convolution kernel
+//! reads.  The original `SnnNetwork::simulate` allocated all of
 //! these afresh on every call, which dominated the cost of the paper's
 //! `(coding × noise level × sample)` sweep grids.  A `SimWorkspace` owns all
 //! of those buffers once; the batched entry points
@@ -97,16 +97,13 @@ pub struct StageEvent {
     pub density: f32,
 }
 
-/// Scratch buffers for the convolution forward pass (`im2col` patch matrix,
-/// transposed kernel bank, their product).
+/// Scratch buffer for the convolution forward pass.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ConvScratch {
-    /// Unrolled input patches, `(out_positions x patch_len)` row-major.
-    pub(crate) cols: Vec<f32>,
-    /// Transposed kernel bank, `(patch_len x out_channels)` row-major.
-    pub(crate) weights_t: Vec<f32>,
-    /// `cols · weights_t`, `(out_positions x out_channels)` row-major.
-    pub(crate) prod: Vec<f32>,
+    /// Unfolded input, `(patch_len x out_positions)` row-major: row
+    /// `(ci, ky, kx)` is the input shifted under that patch entry, with
+    /// zeros in the padding (see [`nrsnn_tensor::conv2d_bias_slices`]).
+    pub(crate) unfold: Vec<f32>,
 }
 
 /// Reusable per-inference scratch buffers for the batched simulation engine.
@@ -171,16 +168,9 @@ impl SimWorkspace {
         let mut max_width = network.input_width();
         for layer in network.layers() {
             max_width = max_width.max(layer.output_width());
-            if let SnnLayer::Conv {
-                weights, geometry, ..
-            } = layer
-            {
-                let patch = geometry.patch_len();
-                let positions = geometry.out_positions();
-                let out_ch = weights.dims()[0];
-                ws.conv.cols.reserve(positions * patch);
-                ws.conv.weights_t.reserve(patch * out_ch);
-                ws.conv.prod.reserve(positions * out_ch);
+            if let SnnLayer::Conv { geometry, .. } = layer {
+                let len = geometry.patch_len() * geometry.out_positions();
+                ws.conv.unfold.reserve(len);
             }
         }
         ws.decoded.reserve(max_width);

@@ -4,6 +4,9 @@
 //! becomes a single matrix multiplication between the unrolled input patches
 //! and the flattened kernel bank, which keeps the training code simple and
 //! reasonably fast for the laptop-scale models used in the reproduction.
+//! The spiking simulator's forward pass instead runs
+//! [`conv2d_bias_slices`], a bias-seeded direct convolution that writes the
+//! channel-major output the next layer reads.
 
 use serde::{Deserialize, Serialize};
 
@@ -132,6 +135,82 @@ pub fn im2col_into(input: &Tensor, geom: &Conv2dGeometry, out: &mut Vec<f32>) ->
 /// Asserts the slice lengths before touching any data.
 pub fn im2col_slices(x: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
     crate::simd::im2col_slices_with(crate::simd::active_backend(), x, geom, out);
+}
+
+/// Bias-seeded direct convolution: writes
+/// `out[c·P + p] = (bias[c] + 0.0) + Σ_kk weights[c·K + kk]·x_kk(p)` for
+/// every output channel `c < bias.len()` and output position
+/// `p < P = out_positions`, where `weights` is the `(out_ch × K)` kernel
+/// bank (`K = patch_len`, patch entries in `(ci, ky, kx)` order) and
+/// `x_kk(p)` the input under patch entry `kk` at position `p` (zero in the
+/// padding).  The terms are added in ascending `kk` order, so every output
+/// is the same sum as a row of the `im2col` patch matrix times the kernel
+/// bank in `ikj` order.
+///
+/// `unfold` is caller-owned scratch of length `K·P` (its contents on entry
+/// are ignored): the input is first unfolded into it as `K` rows of shifted
+/// input, then each channel is accumulated in registers across positions
+/// on the runtime-selected SIMD backend (see [`crate::simd`]) and stored
+/// once.  Exact-zero inputs never change a result, exactly as if they were
+/// skipped.
+///
+/// # Panics
+/// Asserts the slice lengths before touching any data.
+pub fn conv2d_bias_slices(
+    x: &[f32],
+    geom: &Conv2dGeometry,
+    weights: &[f32],
+    bias: &[f32],
+    unfold: &mut [f32],
+    out: &mut [f32],
+) {
+    crate::simd::conv2d_bias_slices_with(
+        crate::simd::active_backend(),
+        x,
+        geom,
+        weights,
+        bias,
+        unfold,
+        out,
+    );
+}
+
+/// Unfolds a flat `C·H·W` input into `unfold`, `patch_len` rows of
+/// `out_positions` each: row `(ci, ky, kx)` holds, for every output
+/// position `(oy, ox)`, the input at `(ci, oy·s + ky − p, ox·s + kx − p)`,
+/// or `+0.0` where that lies in the padding.  Pure data movement, so it is
+/// the same on every backend.
+pub(crate) fn unfold_slices(x: &[f32], geom: &Conv2dGeometry, unfold: &mut [f32]) {
+    let (h, w) = (geom.in_height, geom.in_width);
+    let (k, s, pad) = (geom.kernel, geom.stride, geom.padding);
+    let (oh, ow) = (geom.out_height(), geom.out_width());
+    for (kk, row) in unfold.chunks_exact_mut(oh * ow).enumerate() {
+        let (ci, ky, kx) = (kk / (k * k), kk / k % k, kk % k);
+        let plane = &x[ci * h * w..(ci + 1) * h * w];
+        // Output columns `lo..hi` read an in-bounds input column
+        // `ox·s + kx − pad`; the rest read padding.
+        let lo = pad.saturating_sub(kx).div_ceil(s).min(ow);
+        let hi = (w + pad).saturating_sub(kx).div_ceil(s).clamp(lo, ow);
+        for (oy, dst) in row.chunks_exact_mut(ow).enumerate() {
+            let Some(iy) = (oy * s + ky).checked_sub(pad).filter(|&iy| iy < h) else {
+                dst.fill(0.0);
+                continue;
+            };
+            dst[..lo].fill(0.0);
+            dst[hi..].fill(0.0);
+            if lo == hi {
+                continue;
+            }
+            let src = &plane[iy * w + lo * s + kx - pad..(iy + 1) * w];
+            if s == 1 {
+                dst[lo..hi].copy_from_slice(&src[..hi - lo]);
+            } else {
+                for (d, &v) in dst[lo..hi].iter_mut().zip(src.iter().step_by(s)) {
+                    *d = v;
+                }
+            }
+        }
+    }
 }
 
 /// Scatters a patch matrix of shape `(out_positions, patch_len)` back into a
@@ -317,6 +396,62 @@ mod tests {
         assert_eq!(acc.get(&[4]).unwrap(), 4.0);
         // corner pixel only by one.
         assert_eq!(acc.get(&[0]).unwrap(), 1.0);
+    }
+
+    #[test]
+    fn conv2d_bias_matches_dense_scan_bitwise() {
+        // Reference: the im2col patch matrix times the kernel bank, every
+        // term added (no zero skip) in ascending patch order onto the
+        // canonicalised bias.  Stride 2 with padding 1 exercises both the
+        // strided unfold and the padding zeros.
+        let g = Conv2dGeometry::new(2, 5, 4, 3, 2, 1).unwrap();
+        let x: Vec<f32> = (0..g.in_len())
+            .map(|i| match i % 5 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => (i as f32 * 0.37).sin(),
+            })
+            .collect();
+        let out_ch = 3;
+        let weights: Vec<f32> = (0..out_ch * g.patch_len())
+            .map(|i| (i as f32 * 0.53 - 1.0).cos())
+            .collect();
+        let bias = [0.25f32, -0.0, -1.5];
+        let cols = im2col(&Tensor::from_slice(&x), &g).unwrap();
+        let positions = g.out_positions();
+        let mut reference = vec![0.0f32; out_ch * positions];
+        for c in 0..out_ch {
+            for p in 0..positions {
+                let mut acc = bias[c] + 0.0;
+                for kk in 0..g.patch_len() {
+                    acc +=
+                        cols.as_slice()[p * g.patch_len() + kk] * weights[c * g.patch_len() + kk];
+                }
+                reference[c * positions + p] = acc;
+            }
+        }
+        let mut unfold = vec![f32::NAN; g.patch_len() * positions];
+        let mut out = vec![f32::NAN; out_ch * positions];
+        conv2d_bias_slices(&x, &g, &weights, &bias, &mut unfold, &mut out);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&reference));
+        // The unfold is the transposed patch matrix.
+        for p in 0..positions {
+            for kk in 0..g.patch_len() {
+                assert_eq!(
+                    unfold[kk * positions + p].to_bits(),
+                    cols.as_slice()[p * g.patch_len() + kk].to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d: unfold.len() != patch_len*out_positions")]
+    fn conv2d_bias_rejects_a_short_unfold() {
+        let g = simple_geom();
+        let mut out = [0.0f32; 4];
+        conv2d_bias_slices(&[0.0; 9], &g, &[1.0; 4], &[0.0], &mut [0.0; 3], &mut out);
     }
 
     #[test]

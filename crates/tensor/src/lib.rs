@@ -6,8 +6,8 @@
 //!
 //! The crate intentionally implements only what the rest of the workspace
 //! needs: n-dimensional row-major tensors, elementwise arithmetic, matrix
-//! multiplication, 2-D convolution/pooling helpers (`im2col`/`col2im`) and
-//! random initialisers.
+//! multiplication, 2-D convolution/pooling helpers (`im2col`/`col2im` and a
+//! direct convolution kernel) and random initialisers.
 //!
 //! ## Example
 //!
@@ -34,13 +34,14 @@ mod shape;
 pub mod simd;
 mod tensor;
 
-pub use conv::{col2im, im2col, im2col_into, im2col_slices, Conv2dGeometry, Pool2dGeometry};
+pub use conv::{
+    col2im, conv2d_bias_slices, im2col, im2col_into, im2col_slices, Conv2dGeometry, Pool2dGeometry,
+};
 pub use error::TensorError;
 pub use init::{he_normal, uniform, xavier_uniform};
 pub use linalg::{
-    matmul, matmul_into, matmul_slices, matmul_sparse_into, matmul_sparse_slices, matvec,
-    matvec_bias_slices, matvec_into, matvec_slices, outer, transpose, transpose_into,
-    transpose_slices,
+    matmul, matmul_into, matmul_slices, matvec, matvec_bias_slices, matvec_into, matvec_slices,
+    outer, transpose, transpose_into, transpose_slices,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

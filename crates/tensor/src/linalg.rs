@@ -1,5 +1,7 @@
 //! Dense linear-algebra kernels: matrix multiplication, matrix-vector
-//! products, transposition and outer products.
+//! products (plain and bias-seeded), transposition and outer products.  The
+//! spiking simulator's convolution runs the direct kernel
+//! [`crate::conv2d_bias_slices`] instead of a mat-mul.
 //!
 //! Every kernel exists in three forms that share one implementation, so the
 //! numeric result is bit-identical whichever entry point is used:
@@ -26,7 +28,8 @@ use crate::{Result, Tensor, TensorError};
 ///
 /// Runs in `ikj` order (vectorised over output columns, which preserves the
 /// per-element operation order exactly), skipping exact-zero entries of `a`
-/// — a bitwise no-op, see [`matmul_sparse_slices`].
+/// — a bitwise no-op for finite `b`, because the accumulators start from
+/// `+0.0` and so can never be `-0.0`.
 ///
 /// # Panics
 /// Asserts the slice lengths before touching any data.
@@ -69,68 +72,6 @@ pub fn transpose_slices(a: &[f32], m: usize, n: usize, out: &mut [f32]) {
 /// Asserts the slice lengths before touching any data.
 pub fn matvec_bias_slices(a: &[f32], m: usize, n: usize, x: &[f32], bias: &[f32], out: &mut [f32]) {
     simd::matvec_bias_slices_with(active_backend(), a, m, n, x, bias, out);
-}
-
-/// Sparsity-aware matrix product with a per-column bias: computes
-/// `out[i,j] = (bias[j] + 0.0) + Σ_k a[i,k]·b[k,j]`, skipping every
-/// exact-zero `a[i,k]` entry, so cost is `O(nnz(a)·n + m·n)` instead of
-/// `O(m·k·n)`.
-///
-/// The accumulators are seeded from the canonicalised bias (`b_j + 0.0`)
-/// and so can never be `-0.0` (an IEEE-754 add yields `-0.0` only from two
-/// `-0.0` operands); skipped terms contribute `(±0.0)·b[k,j] ∈ {+0.0,
-/// -0.0}` and are therefore bitwise no-ops (given finite `b`).  An empty `bias` means "no
-/// bias" (all accumulators seed from `+0.0`), in which case this is
-/// exactly [`matmul_slices`].
-///
-/// # Panics
-/// Asserts the slice lengths before touching any data (the bias must have
-/// length `n`; use [`matmul_slices`] for the unbiased product).
-pub fn matmul_sparse_slices(
-    a: &[f32],
-    m: usize,
-    k: usize,
-    b: &[f32],
-    n: usize,
-    bias: &[f32],
-    out: &mut [f32],
-) {
-    if bias.is_empty() {
-        simd::matmul_slices_with(active_backend(), a, m, k, b, n, out);
-    } else {
-        simd::matmul_sparse_slices_with(active_backend(), a, m, k, b, n, bias, out);
-    }
-}
-
-/// [`matmul_sparse_slices`] over tensors into a reusable buffer: clears
-/// `out`, resizes it to `m·n` (keeping its capacity) and writes the
-/// bias-seeded product, skipping exact-zero entries of `a`.
-///
-/// # Errors
-/// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`] for
-/// invalid operands (the bias must be empty or of length `n`).
-pub fn matmul_sparse_into(a: &Tensor, b: &Tensor, bias: &Tensor, out: &mut Vec<f32>) -> Result<()> {
-    ensure_rank(a, 2, "matmul_sparse")?;
-    ensure_rank(b, 2, "matmul_sparse")?;
-    let (m, k1) = (a.dims()[0], a.dims()[1]);
-    let (k2, n) = (b.dims()[0], b.dims()[1]);
-    if k1 != k2 || !(bias.is_empty() || bias.len() == n) {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "matmul_sparse",
-        });
-    }
-    matmul_sparse_slices(
-        a.as_slice(),
-        m,
-        k1,
-        b.as_slice(),
-        n,
-        bias.as_slice(),
-        reuse(out, m * n),
-    );
-    Ok(())
 }
 
 fn reuse(buffer: &mut Vec<f32>, len: usize) -> &mut [f32] {
@@ -386,79 +327,23 @@ mod tests {
         assert!(transpose_into(&v, &mut buf).is_err());
     }
 
-    fn bits(values: &[f32]) -> Vec<u32> {
-        values.iter().map(|v| v.to_bits()).collect()
-    }
-
     #[test]
     fn negative_zero_bias_is_canonicalised_identically_on_both_paths() {
-        // Both bias-seeded kernels — the mat-vec, which adds every term,
-        // and the mat-mul, which skips the exact-zero ones — canonicalise
-        // a -0.0 seed, so an all-zero input yields +0.0 on either path.
+        // Both bias-seeded kernels — the mat-vec and the direct convolution
+        // — canonicalise a -0.0 seed, so an all-zero input yields +0.0 on
+        // either path.
         let a = Tensor::from_vec(vec![2.0, 3.0], &[1, 2]).unwrap();
-        let x = [0.0f32, 0.0];
+        let x = [0.0f32, -0.0];
         let bias = [-0.0f32];
         let mut matvec_out = [f32::NAN];
-        let mut matmul_out = [f32::NAN];
+        let mut conv_out = [f32::NAN];
         matvec_bias_slices(a.as_slice(), 1, 2, &x, &bias, &mut matvec_out);
-        matmul_sparse_slices(&x, 1, 2, a.as_slice(), 1, &bias, &mut matmul_out);
+        // A 1x1 kernel over a 2-channel 1x1 map is the same dot product.
+        let geom = crate::Conv2dGeometry::new(2, 1, 1, 1, 1, 0).unwrap();
+        let mut unfold = [f32::NAN; 2];
+        crate::conv2d_bias_slices(&x, &geom, a.as_slice(), &bias, &mut unfold, &mut conv_out);
         assert_eq!(matvec_out[0].to_bits(), 0.0f32.to_bits());
-        assert_eq!(matmul_out[0].to_bits(), 0.0f32.to_bits());
-    }
-
-    #[test]
-    fn sparse_matmul_is_bit_identical_to_dense_scan_with_bias() {
-        // Reference: seed each output row from the bias, then add every term
-        // (no zero skip) in the same ikj order.
-        let dense_reference = |a: &[f32], m: usize, k: usize, b: &[f32], n: usize, bias: &[f32]| {
-            let mut out = vec![0.0f32; m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    out[i * n + j] = if bias.is_empty() { 0.0 } else { bias[j] + 0.0 };
-                }
-                for kk in 0..k {
-                    for j in 0..n {
-                        out[i * n + j] += a[i * k + kk] * b[kk * n + j];
-                    }
-                }
-            }
-            out
-        };
-        let a = vec![
-            0.0, 1.5, -0.0, 2.0, -3.0, 0.0, 0.0, -0.0, 0.5, 0.0, 0.25, -1.0,
-        ];
-        let b = vec![1.0, -2.0, 0.5, 3.0, -0.25, 4.0, 2.0, -1.5];
-        for bias in [vec![], vec![0.1f32, -0.0], vec![-0.5f32, 2.0]] {
-            let mut out = vec![7.0f32; 6];
-            matmul_sparse_slices(&a, 3, 4, &b, 2, &bias, &mut out);
-            let reference = dense_reference(&a, 3, 4, &b, 2, &bias);
-            assert_eq!(bits(&out), bits(&reference), "bias {bias:?}");
-        }
-    }
-
-    #[test]
-    fn sparse_into_wrappers_validate_and_match_slices() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        let x = Tensor::from_slice(&[0.5, 0.0, -1.0]);
-        let bias = Tensor::from_slice(&[0.25, -0.5]);
-        let mut out = Vec::new();
-        let b = Tensor::from_vec(vec![1.0, 0.0, -1.0, 2.0, 0.5, 1.5], &[3, 2]).unwrap();
-        let col_bias = Tensor::from_slice(&[1.0, -1.0]);
-        matmul_sparse_into(&a, &b, &col_bias, &mut out).unwrap();
-        let mut reference = vec![0.0f32; 4];
-        matmul_sparse_slices(
-            a.as_slice(),
-            2,
-            3,
-            b.as_slice(),
-            2,
-            col_bias.as_slice(),
-            &mut reference,
-        );
-        assert_eq!(bits(&out), bits(&reference));
-        assert!(matmul_sparse_into(&a, &a, &col_bias, &mut out).is_err());
-        assert!(matmul_sparse_into(&a, &b, &bias, &mut out).is_ok()); // len-2 bias fits n=2
-        assert!(matmul_sparse_into(&a, &b, &x, &mut out).is_err()); // len-3 bias does not
+        assert_eq!(conv_out[0].to_bits(), 0.0f32.to_bits());
     }
 
     #[test]

@@ -22,12 +22,12 @@ use super::vec::{F32x8, BLOCK};
 /// flushes `-0.0` to `+0.0` and leaves every other value (including NaN
 /// payloads produced upstream) bitwise unchanged.
 ///
-/// Seeding from `+0.0` rather than `-0.0` is what makes "skip the zero
-/// terms" a *bitwise* no-op in [`matmul_generic`]: under IEEE-754
-/// round-to-nearest, `acc + (w * ±0.0)` can only differ from `acc` when
-/// `acc` is `-0.0` and the product is `+0.0` (or vice versa), and a lane
-/// seeded `+0.0` can never become `-0.0` again (an IEEE add yields `-0.0`
-/// only when both operands are `-0.0`).
+/// Seeding from `+0.0` rather than `-0.0` is what makes an exact-zero input
+/// term a *bitwise* no-op in [`conv2d_generic`] (and skipping it one in
+/// [`matmul_generic`]): under IEEE-754 round-to-nearest, `acc + (w * ±0.0)`
+/// can only differ from `acc` when `acc` is `-0.0` and the product is `+0.0`
+/// (or vice versa), and a lane seeded `+0.0` can never become `-0.0` again
+/// (an IEEE add yields `-0.0` only when both operands are `-0.0`).
 #[inline(always)]
 pub(crate) fn seed_from_bias(b: f32) -> f32 {
     b + 0.0
@@ -86,20 +86,20 @@ pub(crate) unsafe fn matvec_generic<V: F32x8>(
     }
 }
 
-/// Mat-mul skipping exact-zero terms: `out = seedrow(bias) .+ a·b` where `a` is `m×k`,
-/// `b` is `k×n` and `bias` (empty for "no bias") seeds every output row.
+/// Mat-mul skipping exact-zero terms: `out = a·b` where `a` is `m×k` and
+/// `b` is `k×n`.
 ///
 /// Vectorised over the output columns in axpy form (`out_block +=
 /// a[i][kk]·b_block`), which keeps the per-element operation order of the
 /// classic `ikj` scalar loop **exactly** — only the machine width changes —
 /// so this kernel is bit-for-bit the historical scalar matmul.  Terms with
-/// `a[i][kk] == 0.0` are skipped; this is a bitwise no-op because every
-/// accumulator starts from `+0.0` or a canonicalised bias and can never be
+/// `a[i][kk] == 0.0` are skipped; this is a bitwise no-op (for finite `b`)
+/// because every accumulator starts from `+0.0` and can never become
 /// `-0.0` (see [`seed_from_bias`]).
 ///
 /// # Safety
-/// Requires `a.len() == m*k`, `b.len() == k*n`, `out.len() == m*n` and
-/// `bias.len() ∈ {0, n}`; the backend `V` must be runnable on this CPU.
+/// Requires `a.len() == m*k`, `b.len() == k*n` and `out.len() == m*n`; the
+/// backend `V` must be runnable on this CPU.
 #[inline(always)]
 pub(crate) unsafe fn matmul_generic<V: F32x8>(
     a: &[f32],
@@ -107,45 +107,18 @@ pub(crate) unsafe fn matmul_generic<V: F32x8>(
     k: usize,
     b: &[f32],
     n: usize,
-    bias: &[f32],
     out: &mut [f32],
 ) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    debug_assert!(bias.is_empty() || bias.len() == n);
     let nb = n - (n % BLOCK);
     let ap = a.as_ptr();
     let bp = b.as_ptr();
-    let has_bias = !bias.is_empty();
-    let biasp = bias.as_ptr();
     for i in 0..m {
+        out[i * n..(i + 1) * n].fill(0.0);
         // SAFETY: `i < m`, so row `i*n..i*n+n` lies inside `out` (len `m*n`).
         let orow = unsafe { out.as_mut_ptr().add(i * n) };
-        // Seed the output row: canonicalised bias (b_j + 0.0) or +0.0.
-        let mut j = 0usize;
-        while j < nb {
-            let seed = if has_bias {
-                // SAFETY: `j + 8 <= nb <= n == bias.len()` on this branch.
-                unsafe { V::load(biasp.add(j)).add(V::zero()) }
-            } else {
-                // SAFETY: register-only lane op; the backend is runnable per dispatch.
-                unsafe { V::zero() }
-            };
-            // SAFETY: `j + 8 <= nb <= n` — the block is inside output row `i`.
-            unsafe { seed.store(orow.add(j)) };
-            j += BLOCK;
-        }
-        for j in nb..n {
-            // SAFETY: tail `j < n`, inside output row `i` and (if present) `bias`.
-            unsafe {
-                *orow.add(j) = if has_bias {
-                    seed_from_bias(*biasp.add(j))
-                } else {
-                    0.0
-                }
-            };
-        }
         for kk in 0..k {
             // SAFETY: `i < m`, `kk < k`, so the flat index is inside `a` (len `m*k`).
             let aik = unsafe { *ap.add(i * k + kk) };
@@ -170,6 +143,96 @@ pub(crate) unsafe fn matmul_generic<V: F32x8>(
                 // SAFETY: tail `j < n`, inside both the output row and row `kk` of `b`.
                 unsafe { *orow.add(j) += aik * *brow.add(j) };
             }
+        }
+    }
+}
+
+/// Output positions per register-blocked chunk of [`conv2d_generic`]: four
+/// 8-lane accumulators.
+const CONV_CHUNK: usize = 4 * BLOCK;
+
+/// Bias-seeded direct convolution over an unfolded input: `out[c][p] =
+/// seed(bias[c]) + Σ_{kk ascending} w[c][kk]·unfold[kk][p]`, where `w` is
+/// the `(out_ch × patch)` kernel bank, `unfold` the `(patch × positions)`
+/// shifted input rows and `out` is channel-major `(out_ch × positions)`.
+///
+/// Vectorised over output positions: each channel's outputs are computed
+/// [`CONV_CHUNK`] positions at a time in four lane accumulators that stay
+/// in registers for the whole `kk` loop and are stored once.  Positions
+/// left after the last full chunk run the same sum sequentially.  Either
+/// way every output is the same per-element sequence of IEEE ops, so the
+/// result bits do not depend on the backend or on where a position falls.
+///
+/// Exact-zero inputs contribute `w·(±0.0) = ±0.0` for a finite weight,
+/// which leaves an accumulator seeded by [`seed_from_bias`] bitwise
+/// unchanged, so adding them equals skipping them.  A non-finite weight
+/// turns a zero input into NaN, so a channel whose weight row holds one
+/// takes the sequential path, which skips zero inputs explicitly.
+///
+/// # Safety
+/// Requires `weights.len() == bias.len()*patch`, `unfold.len() ==
+/// patch*positions` and `out.len() == bias.len()*positions`; the backend
+/// `V` must be runnable on this CPU.
+#[inline(always)]
+pub(crate) unsafe fn conv2d_generic<V: F32x8>(
+    weights: &[f32],
+    bias: &[f32],
+    patch: usize,
+    unfold: &[f32],
+    positions: usize,
+    out: &mut [f32],
+) {
+    debug_assert_eq!(weights.len(), bias.len() * patch);
+    debug_assert_eq!(unfold.len(), patch * positions);
+    debug_assert_eq!(out.len(), bias.len() * positions);
+    let chunked = positions - positions % CONV_CHUNK;
+    let up = unfold.as_ptr();
+    for ((orow, wrow), &b) in out
+        .chunks_exact_mut(positions)
+        .zip(weights.chunks_exact(patch))
+        .zip(bias)
+    {
+        let seed = seed_from_bias(b);
+        // A fold rather than `all`: without the early exit it vectorises.
+        let vector_end = if wrow.iter().fold(true, |ok, w| ok & w.is_finite()) {
+            chunked
+        } else {
+            0
+        };
+        let op = orow.as_mut_ptr();
+        let mut p0 = 0usize;
+        while p0 < vector_end {
+            // SAFETY: `kk < patch` and `p0 + CONV_CHUNK <= positions`, so the
+            // four blocks loaded per `kk` lie inside row `kk` of `unfold` and
+            // the four stored blocks inside this channel's output row; the
+            // lane ops are register-only on a backend runnable per dispatch.
+            unsafe {
+                let s = V::splat(seed);
+                let (mut a0, mut a1, mut a2, mut a3) = (s, s, s, s);
+                for (kk, &w) in wrow.iter().enumerate() {
+                    let wv = V::splat(w);
+                    let u = up.add(kk * positions + p0);
+                    a0 = a0.add(wv.mul(V::load(u)));
+                    a1 = a1.add(wv.mul(V::load(u.add(BLOCK))));
+                    a2 = a2.add(wv.mul(V::load(u.add(2 * BLOCK))));
+                    a3 = a3.add(wv.mul(V::load(u.add(3 * BLOCK))));
+                }
+                a0.store(op.add(p0));
+                a1.store(op.add(p0 + BLOCK));
+                a2.store(op.add(p0 + 2 * BLOCK));
+                a3.store(op.add(p0 + 3 * BLOCK));
+            }
+            p0 += CONV_CHUNK;
+        }
+        for (p, o) in orow.iter_mut().enumerate().skip(vector_end) {
+            let mut acc = seed;
+            for (kk, &w) in wrow.iter().enumerate() {
+                let x = unfold[kk * positions + p];
+                if x != 0.0 {
+                    acc += w * x;
+                }
+            }
+            *o = acc;
         }
     }
 }

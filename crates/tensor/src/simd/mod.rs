@@ -1,9 +1,9 @@
 //! Runtime-dispatched SIMD kernels, bit-identical across backends.
 //!
-//! Every hot slice kernel in the workspace (mat-vec, mat-mul, `im2col`
-//! unrolling and the lane-wise coding heads) is written **once** as a
-//! generic lane-blocked algorithm over an 8-lane vector abstraction
-//! (`vec::F32x8`) and instantiated per ISA:
+//! Every hot slice kernel in the workspace (mat-vec, mat-mul, the direct
+//! convolution, `im2col` unrolling and the lane-wise coding heads) is
+//! written **once** as a generic lane-blocked algorithm over an 8-lane
+//! vector abstraction (`vec::F32x8`) and instantiated per ISA:
 //!
 //! * **scalar** — portable `[f32; 8]` emulation, compiled on every target;
 //!   the reference semantics;
@@ -268,19 +268,33 @@ mod avx2 {
     // SAFETY: thin per-ISA wrapper; callers must uphold the generic
     // kernel's `# Safety` contract, forwarded verbatim.
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
     pub(crate) unsafe fn matmul(
         a: &[f32],
         m: usize,
         k: usize,
         b: &[f32],
         n: usize,
-        bias: &[f32],
         out: &mut [f32],
     ) {
         // SAFETY: same contract as the callee; the `target_feature`
         // gate matches the instantiated backend's ISA.
-        unsafe { kernels::matmul_generic::<Avx2V>(a, m, k, b, n, bias, out) }
+        unsafe { kernels::matmul_generic::<Avx2V>(a, m, k, b, n, out) }
+    }
+
+    // SAFETY: thin per-ISA wrapper; callers must uphold the generic
+    // kernel's `# Safety` contract, forwarded verbatim.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn conv2d(
+        weights: &[f32],
+        bias: &[f32],
+        patch: usize,
+        unfold: &[f32],
+        positions: usize,
+        out: &mut [f32],
+    ) {
+        // SAFETY: same contract as the callee; the `target_feature`
+        // gate matches the instantiated backend's ISA.
+        unsafe { kernels::conv2d_generic::<Avx2V>(weights, bias, patch, unfold, positions, out) }
     }
 
     // SAFETY: thin per-ISA wrapper; callers must uphold the generic
@@ -417,32 +431,50 @@ pub fn matmul_slices_with(
     assert_eq!(a.len(), m * k, "matmul: a.len() != m*k");
     assert_eq!(b.len(), k * n, "matmul: b.len() != k*n");
     assert_eq!(out.len(), m * n, "matmul: out.len() != m*n");
-    dispatch!(backend, matmul_generic::matmul(a, m, k, b, n, &[], out))
+    dispatch!(backend, matmul_generic::matmul(a, m, k, b, n, out))
 }
 
-/// [`crate::matmul_sparse_slices`] on an explicit backend:
-/// [`matmul_slices_with`] with every output row seeded from the
-/// canonicalised `bias` (length `n`).
+/// [`crate::conv2d_bias_slices`] on an explicit backend: unfolds `x` into
+/// `unfold` (`patch_len × out_positions`; its contents on entry are
+/// ignored), then writes the channel-major output `out[c·positions + p] =
+/// (bias[c] + 0.0) + Σ_kk w[c][kk]·x_kk(p)` with the patch terms in
+/// ascending `(ci, ky, kx)` order — see `kernels::conv2d_generic`.  The
+/// number of output channels is `bias.len()`.
 ///
 /// # Panics
-/// If any slice length disagrees with `m`/`k`/`n` (real assertions, see
-/// [`matvec_slices_with`]).
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_sparse_slices_with(
+/// If any slice length disagrees with the geometry and `bias.len()` (real
+/// assertions, see [`matvec_slices_with`]).
+pub fn conv2d_bias_slices_with(
     backend: SimdBackend,
-    a: &[f32],
-    m: usize,
-    k: usize,
-    b: &[f32],
-    n: usize,
+    x: &[f32],
+    geom: &Conv2dGeometry,
+    weights: &[f32],
     bias: &[f32],
+    unfold: &mut [f32],
     out: &mut [f32],
 ) {
-    assert_eq!(a.len(), m * k, "matmul_sparse: a.len() != m*k");
-    assert_eq!(b.len(), k * n, "matmul_sparse: b.len() != k*n");
-    assert_eq!(bias.len(), n, "matmul_sparse: bias.len() != n");
-    assert_eq!(out.len(), m * n, "matmul_sparse: out.len() != m*n");
-    dispatch!(backend, matmul_generic::matmul(a, m, k, b, n, bias, out))
+    let (patch, positions) = (geom.patch_len(), geom.out_positions());
+    assert_eq!(x.len(), geom.in_len(), "conv2d: x.len() != in_len");
+    assert_eq!(
+        weights.len(),
+        bias.len() * patch,
+        "conv2d: weights.len() != out_ch*patch_len"
+    );
+    assert_eq!(
+        unfold.len(),
+        patch * positions,
+        "conv2d: unfold.len() != patch_len*out_positions"
+    );
+    assert_eq!(
+        out.len(),
+        bias.len() * positions,
+        "conv2d: out.len() != out_ch*out_positions"
+    );
+    crate::conv::unfold_slices(x, geom, unfold);
+    dispatch!(
+        backend,
+        conv2d_generic::conv2d(weights, bias, patch, unfold, positions, out)
+    )
 }
 
 /// [`crate::im2col_slices`] on an explicit backend: patch unrolling as

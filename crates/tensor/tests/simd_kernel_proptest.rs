@@ -7,15 +7,15 @@
 //! with ordinary magnitudes.  Every assertion compares raw bits, not
 //! approximate values — the workspace contract is byte-equality, and these
 //! tests are the kernel-level half of the scalar-vs-SIMD matrix in
-//! `tests/workspace_bit_identity.rs`.
+//! `tests/workspace_bit_identity.rs`.  The direct convolution is checked
+//! against an independent plain-loop oracle on every backend (NaN outputs
+//! only NaN-for-NaN: their sign and payload are unspecified).
 
 use nrsnn_tensor::simd::{
-    available_backends, im2col_slices_with, matmul_slices_with, matmul_sparse_slices_with,
+    available_backends, conv2d_bias_slices_with, im2col_slices_with, matmul_slices_with,
     matvec_bias_slices_with, matvec_slices_with, SimdBackend,
 };
-use nrsnn_tensor::{
-    im2col_into, matmul_into, matmul_sparse_into, matvec_into, Conv2dGeometry, Tensor, TensorError,
-};
+use nrsnn_tensor::{im2col_into, matmul_into, matvec_into, Conv2dGeometry, Tensor, TensorError};
 use proptest::{rng_for, TestRng, CASES};
 use rand::Rng;
 
@@ -149,18 +149,101 @@ fn matmul_every_isa_matches_scalar_bitwise() {
             matmul_slices_with(isa, &a, m, k, &b, n, &mut out);
             assert_eq!(bits(&out), bits(&reference), "{isa:?} m={m} k={k} n={n}");
         }
-        // Bias-seeded variant, with -0.0 biases in the pool.
-        let bias: Vec<f32> = (0..n).map(|_| draw_value(&mut rng, true)).collect();
-        if !bias.is_empty() {
-            let mut reference = vec![f32::NAN; m * n];
-            matmul_sparse_slices_with(SimdBackend::Scalar, &a, m, k, &b, n, &bias, &mut reference);
-            for &isa in &isas {
-                let mut out = vec![f32::NAN; m * n];
-                matmul_sparse_slices_with(isa, &a, m, k, &b, n, &bias, &mut out);
-                assert_eq!(bits(&out), bits(&reference), "{isa:?} biased m={m} n={n}");
+    }
+}
+
+/// The plain-loop convolution oracle: for every `(c, oy, ox)`, seed
+/// `bias[c] + 0.0`, then add `x·w` over the patch entries `(ci, ky, kx)` in
+/// ascending order, skipping the padding and exact-zero inputs.
+fn conv_oracle(x: &[f32], g: &Conv2dGeometry, weights: &[f32], bias: &[f32]) -> Vec<f32> {
+    let (h, w, k) = (g.in_height, g.in_width, g.kernel);
+    let mut out = Vec::new();
+    for (c, &b) in bias.iter().enumerate() {
+        for oy in 0..g.out_height() {
+            for ox in 0..g.out_width() {
+                let mut acc = b + 0.0;
+                for ci in 0..g.in_channels {
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let iy = (oy * g.stride + ky) as isize - g.padding as isize;
+                            let ix = (ox * g.stride + kx) as isize - g.padding as isize;
+                            if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w {
+                                continue;
+                            }
+                            let v = x[ci * h * w + iy as usize * w + ix as usize];
+                            if v != 0.0 {
+                                acc += v * weights[c * g.patch_len() + (ci * k + ky) * k + kx];
+                            }
+                        }
+                    }
+                }
+                out.push(acc);
             }
         }
     }
+    out
+}
+
+#[test]
+fn conv2d_every_isa_matches_plain_loop_oracle() {
+    let mut rng = rng_for("conv2d_every_isa_matches_plain_loop_oracle");
+    let mut chunk_tails = [false; 2];
+    for case in 0..4 * CASES {
+        let c = rng.gen_range(1usize..4);
+        let h = rng.gen_range(1usize..15);
+        let w = rng.gen_range(1usize..15);
+        let k = rng.gen_range(1usize..6);
+        let s = rng.gen_range(1usize..4);
+        let p = rng.gen_range(0usize..3);
+        let Ok(geom) = Conv2dGeometry::new(c, h, w, k, s, p) else {
+            continue; // kernel larger than padded input: rejected upstream
+        };
+        let out_ch = rng.gen_range(1usize..30);
+        let positions = geom.out_positions();
+        chunk_tails[usize::from(positions % 32 == 0)] = true;
+        // Zero-heavy inputs with both zero signs.
+        let x = draw_vec(&mut rng, geom.in_len(), true);
+        let mut weights = draw_vec(&mut rng, out_ch * geom.patch_len(), false);
+        // Every fourth case plants ±inf/NaN weights; the zero-heavy inputs
+        // put exact zeros opposite them, where the term must be skipped.
+        if case % 4 == 0 {
+            for _ in 0..rng.gen_range(1usize..4) {
+                let i = rng.gen_range(0..weights.len());
+                weights[i] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][rng.gen_range(0usize..3)];
+            }
+        }
+        let bias: Vec<f32> = (0..out_ch)
+            .map(|_| {
+                if rng.gen_range(0.0f32..1.0) < 0.3 {
+                    -0.0
+                } else {
+                    draw_value(&mut rng, false)
+                }
+            })
+            .collect();
+        let reference = conv_oracle(&x, &geom, &weights, &bias);
+        for isa in available_backends() {
+            let mut unfold = vec![f32::NAN; geom.patch_len() * positions];
+            let mut out = vec![f32::NAN; out_ch * positions];
+            conv2d_bias_slices_with(isa, &x, &geom, &weights, &bias, &mut unfold, &mut out);
+            for (i, (o, r)) in out.iter().zip(&reference).enumerate() {
+                // NaN sign and payload are unspecified; NaN-ness is not.
+                let same = if r.is_nan() {
+                    o.is_nan()
+                } else {
+                    o.to_bits() == r.to_bits()
+                };
+                assert!(
+                    same,
+                    "{isa:?} out_ch={out_ch} geom {geom:?}: out[{i}] {o:?} != {r:?}"
+                );
+            }
+        }
+    }
+    assert!(
+        chunk_tails[0] && chunk_tails[1],
+        "cases must cover positions with and without a sub-chunk tail"
+    );
 }
 
 #[test]
@@ -194,7 +277,6 @@ fn into_wrappers_return_typed_shape_errors() {
     let a = Tensor::zeros(&[3, 4]);
     let b_bad = Tensor::zeros(&[5, 2]); // inner dim mismatch
     let x_bad = Tensor::zeros(&[5]);
-    let vec1 = Tensor::zeros(&[3]);
     let mut out = Vec::new();
 
     assert!(matches!(
@@ -208,12 +290,6 @@ fn into_wrappers_return_typed_shape_errors() {
     assert!(matches!(
         matvec_into(&a, &a, &mut out),
         Err(TensorError::RankMismatch { op: "matvec", .. })
-    ));
-    // Bias-seeded mat-mul wrapper: wrong bias length.
-    let b = Tensor::zeros(&[4, 2]);
-    assert!(matches!(
-        matmul_sparse_into(&a, &b, &vec1, &mut out), // bias len 3 != n=2
-        Err(TensorError::ShapeMismatch { .. })
     ));
     // im2col: wrong input length for the geometry.
     let geom = Conv2dGeometry::new(1, 4, 4, 3, 1, 0).unwrap();

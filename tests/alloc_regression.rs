@@ -15,7 +15,7 @@ use std::cell::Cell;
 use nrsnn::prelude::*;
 use nrsnn_runtime::derive_seed;
 use nrsnn_snn::{SnnLayer, SnnNetwork};
-use nrsnn_tensor::Tensor;
+use nrsnn_tensor::{Conv2dGeometry, Pool2dGeometry, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -96,6 +96,41 @@ fn build_network(inputs: usize, hidden: usize, outputs: usize) -> SnnNetwork {
     .unwrap()
 }
 
+/// A deterministic hand-built CNN: conv → pool → conv → linear.  The first
+/// conv has 64 output positions (whole register chunks), the second 16
+/// (the sequential tail), so both halves of the conv kernel run.
+fn build_conv_network() -> SnnNetwork {
+    let fill = |rows: usize, cols: usize, scale: f32| -> Tensor {
+        let data: Vec<f32> = (0..rows * cols)
+            .map(|i| ((i * 29 + 3) % 17) as f32 / 17.0 * scale - scale / 3.0)
+            .collect();
+        Tensor::from_vec(data, &[rows, cols]).unwrap()
+    };
+    // 3x8x8 -> conv(6ch, k3, s1, p1) -> 6x8x8 -> avgpool(2x2) -> 6x4x4
+    // -> conv(5ch, k3, s1, p1) -> 5x4x4 -> linear -> 4 logits.
+    let conv0 = Conv2dGeometry::new(3, 8, 8, 3, 1, 1).unwrap();
+    let pool = Pool2dGeometry::new(6, 8, 8, 2, 2).unwrap();
+    let conv1 = Conv2dGeometry::new(6, 4, 4, 3, 1, 1).unwrap();
+    SnnNetwork::new(vec![
+        SnnLayer::Conv {
+            weights: fill(6, conv0.patch_len(), 0.6),
+            bias: Tensor::from_slice(&[0.02, -0.01, 0.0, 0.03, -0.02, 0.01]),
+            geometry: conv0,
+        },
+        SnnLayer::AvgPool { geometry: pool },
+        SnnLayer::Conv {
+            weights: fill(5, conv1.patch_len(), 0.5),
+            bias: Tensor::zeros(&[5]),
+            geometry: conv1,
+        },
+        SnnLayer::Linear {
+            weights: fill(4, 5 * conv1.out_positions(), 0.8),
+            bias: Tensor::zeros(&[4]),
+        },
+    ])
+    .unwrap()
+}
+
 fn build_inputs(samples: usize, width: usize) -> Tensor {
     let data: Vec<f32> = (0..samples * width)
         .map(|i| ((i * 13 + 5) % 29) as f32 / 29.0)
@@ -105,8 +140,13 @@ fn build_inputs(samples: usize, width: usize) -> Tensor {
 
 #[test]
 fn steady_state_simulate_batch_allocates_zero_per_sample() {
-    let network = build_network(24, 18, 6);
-    let inputs = build_inputs(32, 24);
+    // The MLP and the CNN: the conv path keeps its unfolded input in the
+    // workspace and writes straight into the layer's activation buffer,
+    // so it must be as allocation-free as the dense one.
+    let networks = [
+        ("mlp", build_network(24, 18, 6)),
+        ("cnn", build_conv_network()),
+    ];
     let cfg = CodingConfig::new(64, 1.0);
     let seed = 2468u64;
 
@@ -133,55 +173,52 @@ fn steady_state_simulate_batch_allocates_zero_per_sample() {
         CodingKind::Ttfs,
         CodingKind::Ttas(5),
     ];
-    for kind in codings {
-        let coding = kind.build();
-        for (noise_name, noise) in &noises {
-            let mut ws = SimWorkspace::new();
-            let mut outcomes: Vec<BatchOutcome> = Vec::new();
-            let run = |ws: &mut SimWorkspace, out: &mut Vec<BatchOutcome>| {
-                network
-                    .simulate_batch(
-                        &inputs,
-                        0..32,
-                        coding.as_ref(),
-                        &cfg,
-                        noise.as_ref(),
-                        |sample| StdRng::seed_from_u64(derive_seed(seed, sample as u64)),
-                        ws,
-                        out,
-                    )
-                    .unwrap();
-            };
+    for (net_name, network) in &networks {
+        let inputs = build_inputs(32, network.input_width());
+        for kind in codings {
+            let coding = kind.build();
+            for (noise_name, noise) in &noises {
+                let context = format!("{net_name} {} under {noise_name}", kind.label());
+                let mut ws = SimWorkspace::new();
+                let mut outcomes: Vec<BatchOutcome> = Vec::new();
+                let run = |ws: &mut SimWorkspace, out: &mut Vec<BatchOutcome>| {
+                    network
+                        .simulate_batch(
+                            &inputs,
+                            0..32,
+                            coding.as_ref(),
+                            &cfg,
+                            noise.as_ref(),
+                            |sample| StdRng::seed_from_u64(derive_seed(seed, sample as u64)),
+                            ws,
+                            out,
+                        )
+                        .unwrap();
+                };
 
-            // Warm-up: grows every workspace buffer to its steady-state
-            // size (identical samples and seeds, so later passes need no
-            // growth).
-            let warmup = allocations_during(|| run(&mut ws, &mut outcomes));
-            assert!(
-                warmup > 0,
-                "{} under {noise_name}: warm-up should \
-                 allocate (counter wired up?)",
-                kind.label()
-            );
-            let reference = outcomes.clone();
+                // Warm-up: grows every workspace buffer to its steady-state
+                // size (identical samples and seeds, so later passes need no
+                // growth).
+                let warmup = allocations_during(|| run(&mut ws, &mut outcomes));
+                assert!(
+                    warmup > 0,
+                    "{context}: warm-up should allocate (counter wired up?)"
+                );
+                let reference = outcomes.clone();
 
-            // Steady state: the same batch twice more, zero allocations.
-            for pass in 0..2 {
-                let steady = allocations_during(|| run(&mut ws, &mut outcomes));
-                assert_eq!(
-                    steady,
-                    0,
-                    "{} under {noise_name}: pass {pass} \
-                     allocated {steady} times for 32 samples (expected zero)",
-                    kind.label()
-                );
-                assert_eq!(
-                    outcomes,
-                    reference,
-                    "{} under {noise_name}: steady-state \
-                     results diverged",
-                    kind.label()
-                );
+                // Steady state: the same batch twice more, zero allocations.
+                for pass in 0..2 {
+                    let steady = allocations_during(|| run(&mut ws, &mut outcomes));
+                    assert_eq!(
+                        steady, 0,
+                        "{context}: pass {pass} allocated {steady} times for 32 \
+                         samples (expected zero)"
+                    );
+                    assert_eq!(
+                        outcomes, reference,
+                        "{context}: steady-state results diverged"
+                    );
+                }
             }
         }
     }

@@ -121,8 +121,10 @@ fn simulate_matches_unbuffered_reference_bitwise() {
 }
 
 /// A deterministic Conv → AvgPool → Linear network: exercises the
-/// convolution (`im2col` + transpose + matmul scratch) and pooling arms of
-/// `forward_analog_into`, which the MLP pipelines never touch.
+/// convolution (the direct kernel over its unfold scratch, 36 output
+/// positions: one 32-wide register chunk plus the sequential tail) and
+/// pooling arms of `forward_analog_into`, which the MLP pipelines never
+/// touch.  The reference path runs the convolution as plain loops.
 fn conv_network() -> SnnNetwork {
     let fill = |rows: usize, cols: usize, scale: f32| -> Tensor {
         let data: Vec<f32> = (0..rows * cols)
@@ -337,7 +339,7 @@ fn matrix_inputs(samples: usize, width: usize) -> Tensor {
 /// reference run both serially and fanned over 4 worker threads (the two
 /// digests must agree bit for bit).  The per-ISA digests — outcomes and logit bits, a few draws from the
 /// post-simulation RNG (so stream divergence is caught), and a conv →
-/// pool → linear probe (so the `im2col`/pooling arms ride through the same
+/// pool → linear probe (so the conv/pooling arms ride through the same
 /// matrix) — must be identical to the scalar backend's digest.  Together
 /// with the lane-blocked coding layer this covers the *entire* noisy
 /// pipeline per ISA: block encode → noise → block decode → forward.  This
@@ -419,8 +421,8 @@ fn scalar_and_simd_backends_are_byte_identical_across_the_matrix() {
             )
             .unwrap();
         digest.extend((0..4).map(|_| rng.gen::<u32>()));
-        // Conv/pool probe: the `im2col` + kernel-transpose + matmul
-        // and pooling arms under the same coding, noise and ISA.
+        // Conv/pool probe: the direct convolution kernel and pooling
+        // arms under the same coding, noise and ISA.
         let mut conv_ws = SimWorkspace::new();
         for sample in 0..2 {
             let row = conv_inputs.row_slice(sample).unwrap();
