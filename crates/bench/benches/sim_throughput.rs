@@ -206,18 +206,22 @@ fn throughput_report(w: &Workload) {
 ///    both codings: with the coding layer lane-blocked (counts, bit
 ///    patterns and ratios computed 8 neurons per block, only the
 ///    variable-length train materialisation left scalar), the end-to-end
-///    path no longer hides behind Amdahl's law.
+///    path no longer hides behind Amdahl's law.  `DeletionNoise(0.0)` is
+///    the identity, so these rows run the clean path: each layer is
+///    decoded from per-symbol tables and no raster is built.
 /// 2. **Dense kernel pass** ([`SnnNetwork::analog_forward`], the exact
 ///    matvec sequence the simulator runs per layer, on the converted
 ///    weights): gated to >= 1.5x AVX2-over-scalar — this is the part the
 ///    dispatch machinery exists for, and a floor here fails loudly if a
 ///    future refactor quietly routes the hot path back through portable
 ///    code.
-/// 3. **Coding microbenches**: encode-only (`encode_raster_into`) and
-///    decode-only (`decode_into`) rows per coding and per ISA on
-///    the 784-wide input rows, equality-gated train-for-train and
-///    bit-for-bit against the scalar backend.  These isolate the coding
-///    layer's own speedup from the kernel-dominated end-to-end number.
+/// 3. **Coding microbenches**: encode-only (`encode_raster_into`),
+///    decode-only (`decode_into`) and clean (`encode_decode_into`) rows
+///    per coding and per ISA on the 784-wide input rows, equality-gated
+///    train-for-train and bit-for-bit against the scalar backend (the
+///    clean rows against the encode + decode pair).  These isolate the
+///    coding layer's own speedup from the kernel-dominated end-to-end
+///    number.
 fn simd_throughput_report() {
     let pipeline = mnist_pipeline();
     let time_steps = bench_sweep_config().time_steps;
@@ -462,11 +466,15 @@ fn conv_kernel_report(isas: &[SimdBackend], entries: &mut Vec<(String, f64)>) {
     }
 }
 
-/// Encode-only and decode-only rows per coding, per ISA, on the MLP's
-/// 784-wide input rows: `encode_raster_into` (block encode into a reused
-/// raster + scratch) and `decode_into` (block decode of the encoded
-/// rasters).  Every ISA is equality-gated — trains and decoded bits must
-/// match the scalar backend exactly — before it is timed.  Keys land in
+/// Encode-only, decode-only and clean rows per coding, per ISA, on the
+/// MLP's 784-wide input rows: `encode_raster_into` (block encode into a
+/// reused raster + scratch), `decode_into` (block decode of the encoded
+/// rasters) and `encode_decode_into` (the clean path's fused call, which
+/// decodes from per-symbol tables without building the raster).  Every
+/// ISA is equality-gated — trains and decoded bits must match the scalar
+/// backend exactly, and the clean rows must match the encode + decode pair
+/// in decoded bits, spike total and active count — before it is timed.
+/// No floor applies.  Keys land in
 /// the same `simd_throughput` summary section as the end-to-end rows.
 fn coding_micro_report(
     pipeline: &TrainedPipeline,
@@ -553,7 +561,35 @@ fn coding_micro_report(
                 black_box(&decoded);
             }
         });
-        for (op, rates) in [("encode", &encode_rates), ("decode", &decode_rates)] {
+        // The clean path's fused encode → decode: every ISA must reproduce
+        // the materialising pair's decoded bits, spike total and active
+        // count before it is timed.
+        for &isa in isas {
+            assert_eq!(set_backend(isa), isa, "requested backend must stick");
+            for (row, (expected, expected_bits)) in
+                rows.iter().zip(reference.iter().zip(&reference_bits))
+            {
+                let counts = coding.encode_decode_into(row, &cfg, &mut decoded, &mut scratch);
+                let got: Vec<u32> = decoded.iter().map(|v| v.to_bits()).collect();
+                assert!(
+                    &got == expected_bits
+                        && counts == (expected.total_spikes(), expected.num_active_trains()),
+                    "{}: {} encode_decode_into diverged from encode + decode",
+                    kind.label(),
+                    isa.name()
+                );
+            }
+        }
+        let clean_rates = best_rates(isas, SAMPLES, || {
+            for row in &rows {
+                black_box(coding.encode_decode_into(row, &cfg, &mut decoded, &mut scratch));
+            }
+        });
+        for (op, rates) in [
+            ("encode", &encode_rates),
+            ("decode", &decode_rates),
+            ("clean", &clean_rates),
+        ] {
             let scalar_rate = rates[0].1;
             for &(isa, rate) in rates {
                 let speedup = rate / scalar_rate;

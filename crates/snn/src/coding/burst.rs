@@ -2,7 +2,9 @@
 
 use nrsnn_tensor::simd::{active_backend, encode_quant_with, quantize_value};
 
-use crate::coding::CodingScratch;
+use crate::coding::{
+    encode_decode_symbols, encode_symbols_into, CodingScratch, SymbolCoding, TABLE_MAX_STEPS,
+};
 use crate::{CodingConfig, CodingKind, NeuralCoding, Result, SnnError, SpikeRaster};
 
 /// Largest `max_spikes` the lane-blocked encode handles exactly (see the
@@ -103,26 +105,17 @@ impl NeuralCoding for BurstCoding {
         raster: &mut SpikeRaster,
         scratch: &mut CodingScratch,
     ) {
-        if self.max_spikes > MAX_LANE_SPIKES {
-            raster.fill_trains(values.len(), cfg.time_steps, |i, train| {
-                self.encode_into(values[i], cfg, train);
-            });
-            return;
-        }
-        scratch.lanes.clear();
-        scratch.lanes.resize(values.len(), 0.0);
-        encode_quant_with(
-            active_backend(),
-            values,
-            cfg.threshold,
-            self.max_spikes as f32,
-            &mut scratch.lanes,
-        );
-        let counts = &scratch.lanes;
-        let cap = self.max_spikes.min(cfg.time_steps);
-        raster.fill_trains_trusted(values.len(), cfg.time_steps, |i, train| {
-            train.extend(0..(counts[i] as u32).min(cap));
-        });
+        encode_symbols_into(self, values, cfg, raster, scratch);
+    }
+
+    fn encode_decode_into(
+        &self,
+        values: &[f32],
+        cfg: &CodingConfig,
+        out: &mut Vec<f32>,
+        scratch: &mut CodingScratch,
+    ) -> (usize, usize) {
+        encode_decode_symbols(self, values, cfg, out, scratch)
     }
 
     fn decode(&self, train: &[u32], cfg: &CodingConfig) -> f32 {
@@ -144,6 +137,43 @@ impl NeuralCoding for BurstCoding {
             prev = Some(t);
         }
         sum.min(cfg.threshold)
+    }
+}
+
+/// Symbol: the burst length `0..=min(N_max, T)`; its canonical train is
+/// the consecutive steps `0..n`.
+impl SymbolCoding for BurstCoding {
+    fn structure(&self) -> u32 {
+        self.max_spikes
+    }
+
+    fn symbol_count(&self, cfg: &CodingConfig) -> Option<usize> {
+        let cap = self.max_spikes.min(cfg.time_steps);
+        (cap <= TABLE_MAX_STEPS).then_some(cap as usize + 1)
+    }
+
+    fn head(&self, values: &[f32], cfg: &CodingConfig, scratch: &mut CodingScratch) -> bool {
+        if self.max_spikes > MAX_LANE_SPIKES {
+            return false;
+        }
+        scratch.lanes.clear();
+        scratch.lanes.resize(values.len(), 0.0);
+        encode_quant_with(
+            active_backend(),
+            values,
+            cfg.threshold,
+            self.max_spikes as f32,
+            &mut scratch.lanes,
+        );
+        true
+    }
+
+    fn symbol(&self, scratch: &CodingScratch, i: usize, cfg: &CodingConfig) -> usize {
+        (scratch.lanes[i] as u32).min(self.max_spikes.min(cfg.time_steps)) as usize
+    }
+
+    fn emit(&self, s: usize, _cfg: &CodingConfig, out: &mut Vec<u32>) {
+        out.extend(0..s as u32);
     }
 }
 

@@ -39,7 +39,8 @@ use crate::{CodingConfig, SpikeRaster};
 /// the SoA buffers the head writes and the tail reads, so blocks touch
 /// contiguous memory and the simulation workspace stays allocation-free in
 /// steady state (the buffers grow to the widest layer seen and never
-/// shrink).
+/// shrink).  It also owns the clean path's per-symbol decode table
+/// ([`NeuralCoding::encode_decode_into`]).
 #[derive(Debug, Clone, Default)]
 pub struct CodingScratch {
     /// One f32 per neuron: quantised spike counts (rate/burst) or clamped
@@ -52,17 +53,30 @@ pub struct CodingScratch {
     /// Per-phase firing thresholds `weights[k] - 1e-6`.
     pub(crate) thresholds: Vec<f32>,
     /// Precomputed canonical trains, concatenated: for a fixed window the
-    /// whole train is a function of the per-neuron scalar quantity alone
-    /// (rate: one train per spike count `0..=T`; phase: one per bit
-    /// pattern), so the scalar tail becomes a table lookup plus one
-    /// `extend_from_slice` per neuron.
+    /// whole train is a function of the per-neuron symbol alone (rate: one
+    /// train per spike count `0..=T`; phase: one per bit pattern), so the
+    /// scalar tail becomes a table lookup plus one `extend_from_slice` per
+    /// neuron.
     pub(crate) train_table: Vec<u32>,
-    /// `train_offsets[q]..train_offsets[q+1]` bounds quantity `q`'s train
+    /// `train_offsets[q]..train_offsets[q+1]` bounds symbol `q`'s train
     /// inside [`CodingScratch::train_table`].
     pub(crate) train_offsets: Vec<u32>,
-    /// `(kind, time_steps, period)` the current table was built for; the
-    /// table is rebuilt lazily whenever the coding or window changes.
-    pub(crate) train_key: Option<(CodingKind, u32, u32)>,
+    /// What the current train table was built for; rebuilt lazily
+    /// whenever it changes.
+    pub(crate) train_key: Option<TableKey>,
+    /// Clean-path decode table: `symbols[s]` is the decoded value and the
+    /// spike count of symbol `s`'s canonical train.
+    pub(crate) symbols: Vec<(f32, u32)>,
+    /// What [`CodingScratch::symbols`] was built for; rebuilt whenever it
+    /// changes.
+    pub(crate) symbol_key: Option<TableKey>,
+    /// One canonical train at a time while the symbol table is built.
+    pub(crate) canonical: Vec<u32>,
+    /// The raster the materialising [`NeuralCoding::encode_decode_into`]
+    /// builds for codings without a symbol table.
+    pub(crate) raster: SpikeRaster,
+    /// Decode scratch of that materialising path.
+    pub(crate) psc: Vec<f32>,
 }
 
 impl CodingScratch {
@@ -70,6 +84,174 @@ impl CodingScratch {
     pub fn new() -> Self {
         CodingScratch::default()
     }
+}
+
+/// What a train or symbol table depends on: the coding kind, its
+/// structural parameter (see [`SymbolCoding::structure`]) and every field
+/// of the [`CodingConfig`], bitwise.
+pub(crate) type TableKey = (CodingKind, u32, [u32; 3]);
+
+/// The [`TableKey`] of `coding` under `cfg`.  The destructuring is
+/// exhaustive on purpose: a field added to [`CodingConfig`] fails to
+/// compile here until it joins the key, so a table can never go stale on
+/// it.
+fn table_key<C: SymbolCoding>(coding: &C, cfg: &CodingConfig) -> TableKey {
+    let CodingConfig {
+        time_steps,
+        threshold,
+        ttfs_tau_fraction,
+    } = *cfg;
+    let config = [time_steps, threshold.to_bits(), ttfs_tau_fraction.to_bits()];
+    (coding.kind(), coding.structure(), config)
+}
+
+/// Largest window whose per-step symbol domain (rate counts, burst counts,
+/// TTFS/TTAS first-spike times) is tabulated.  A rate train table holds
+/// `T·(T+1)/2` spike times — ~2 MiB of `u32` at the cap, L1-resident at
+/// the paper's windows — and a symbol table costs one decode per symbol,
+/// both amortised over every row with the same key.  Wider windows take
+/// the direct paths.
+pub(crate) const TABLE_MAX_STEPS: u32 = 1024;
+
+/// The shape the five in-crate codings share: a lane-blocked head reduces
+/// each value to one small integer *symbol* (rate: spike count; phase: bit
+/// pattern; burst: count; TTFS/TTAS: first-spike time + 1, or 0 for a
+/// silent neuron), and every symbol has exactly one canonical train.
+///
+/// [`encode_symbols_into`] and [`encode_decode_symbols`] drive both block
+/// paths through these methods, so the two share the head and the
+/// symbol→train map and cannot drift apart.
+pub(crate) trait SymbolCoding: NeuralCoding {
+    /// Whether the encode tail copies canonical trains from a per-window
+    /// train table instead of emitting them (worth it for long trains).
+    const TABULATE_TRAINS: bool = false;
+
+    /// The structural parameter the symbol→train map depends on besides the
+    /// kind and the config: the phase period or the burst `max_spikes`
+    /// (TTAS carries its duration in its kind); 0 otherwise.
+    fn structure(&self) -> u32 {
+        0
+    }
+
+    /// Number of symbols under `cfg`, or `None` when the domain is too
+    /// large to tabulate.
+    fn symbol_count(&self, cfg: &CodingConfig) -> Option<usize>;
+
+    /// Runs the lane-blocked head over `values` into `scratch`.  Returns
+    /// `false`, writing nothing, when the head cannot represent `cfg`
+    /// exactly; the caller then takes the per-value path.
+    fn head(&self, values: &[f32], cfg: &CodingConfig, scratch: &mut CodingScratch) -> bool;
+
+    /// The symbol of neuron `i`, read from the head's output in `scratch`.
+    fn symbol(&self, scratch: &CodingScratch, i: usize, cfg: &CodingConfig) -> usize;
+
+    /// Appends symbol `s`'s canonical train (strictly increasing times
+    /// below `cfg.time_steps`) to `out`.
+    fn emit(&self, s: usize, cfg: &CodingConfig, out: &mut Vec<u32>);
+}
+
+/// The block encode of a [`SymbolCoding`]: head, then one canonical train
+/// per neuron — copied from the train table when the coding tabulates its
+/// trains, emitted directly otherwise.
+pub(crate) fn encode_symbols_into<C: SymbolCoding>(
+    coding: &C,
+    values: &[f32],
+    cfg: &CodingConfig,
+    raster: &mut SpikeRaster,
+    scratch: &mut CodingScratch,
+) {
+    let t = cfg.time_steps;
+    if !coding.head(values, cfg, scratch) {
+        raster.fill_trains(values.len(), t, |i, train| {
+            coding.encode_into(values[i], cfg, train);
+        });
+        return;
+    }
+    let count = coding.symbol_count(cfg).filter(|_| C::TABULATE_TRAINS);
+    let Some(count) = count else {
+        raster.fill_trains_trusted(values.len(), t, |i, train| {
+            coding.emit(coding.symbol(scratch, i, cfg), cfg, train);
+        });
+        return;
+    };
+    let key = Some(table_key(coding, cfg));
+    if scratch.train_key != key {
+        scratch.train_table.clear();
+        scratch.train_offsets.clear();
+        scratch.train_offsets.push(0);
+        for s in 0..count {
+            coding.emit(s, cfg, &mut scratch.train_table);
+            scratch.train_offsets.push(scratch.train_table.len() as u32);
+        }
+        scratch.train_key = key;
+    }
+    let scratch = &*scratch;
+    let (table, offsets) = (&scratch.train_table, &scratch.train_offsets);
+    raster.fill_trains_trusted(values.len(), t, |i, train| {
+        let s = coding.symbol(scratch, i, cfg);
+        train.extend_from_slice(&table[offsets[s] as usize..offsets[s + 1] as usize]);
+    });
+}
+
+/// The clean-path [`NeuralCoding::encode_decode_into`] of a
+/// [`SymbolCoding`]: head, then one table lookup per neuron.  Each table
+/// entry is the coding's own [`NeuralCoding::decode`] of that symbol's
+/// canonical train, so it is exact by construction.  Domains too large to
+/// tabulate, and configs the head cannot take, materialise instead.
+pub(crate) fn encode_decode_symbols<C: SymbolCoding>(
+    coding: &C,
+    values: &[f32],
+    cfg: &CodingConfig,
+    out: &mut Vec<f32>,
+    scratch: &mut CodingScratch,
+) -> (usize, usize) {
+    let Some(count) = coding.symbol_count(cfg) else {
+        return encode_decode_materialised(coding, values, cfg, out, scratch);
+    };
+    if !coding.head(values, cfg, scratch) {
+        return encode_decode_materialised(coding, values, cfg, out, scratch);
+    }
+    let key = Some(table_key(coding, cfg));
+    if scratch.symbol_key != key {
+        scratch.symbols.clear();
+        for s in 0..count {
+            scratch.canonical.clear();
+            coding.emit(s, cfg, &mut scratch.canonical);
+            let value = coding.decode(&scratch.canonical, cfg);
+            scratch
+                .symbols
+                .push((value, scratch.canonical.len() as u32));
+        }
+        scratch.symbol_key = key;
+    }
+    let (mut spikes, mut active) = (0usize, 0usize);
+    out.clear();
+    out.resize(values.len(), 0.0);
+    let table = &scratch.symbols;
+    for (i, slot) in out.iter_mut().enumerate() {
+        let (value, count) = table[coding.symbol(scratch, i, cfg)];
+        *slot = value;
+        spikes += count as usize;
+        active += usize::from(count > 0);
+    }
+    (spikes, active)
+}
+
+/// The reference [`NeuralCoding::encode_decode_into`]: builds the raster in
+/// `scratch`, decodes it and counts it.
+fn encode_decode_materialised<C: NeuralCoding + ?Sized>(
+    coding: &C,
+    values: &[f32],
+    cfg: &CodingConfig,
+    out: &mut Vec<f32>,
+    scratch: &mut CodingScratch,
+) -> (usize, usize) {
+    let mut raster = std::mem::take(&mut scratch.raster);
+    coding.encode_raster_into(values, cfg, &mut raster, scratch);
+    coding.decode_into(&raster, cfg, out, &mut scratch.psc);
+    let counts = (raster.total_spikes(), raster.num_active_trains());
+    scratch.raster = raster;
+    counts
 }
 
 /// A neural coding: the pair of an encoder (activation → spike train) and a
@@ -122,6 +304,35 @@ pub trait NeuralCoding: Send + Sync {
         raster.fill_trains(values.len(), cfg.time_steps, |i, train| {
             self.encode_into(values[i], cfg, train);
         });
+    }
+
+    /// Encodes `values` and decodes the noise-free result into `out`
+    /// (cleared first, capacity kept) in one call, returning the
+    /// `(total spikes, active neurons)` of the raster that stands between
+    /// them.
+    ///
+    /// **Contract:** bit for bit the result of
+    /// [`NeuralCoding::encode_raster_into`], then
+    /// [`NeuralCoding::decode_into`] on that raster, with its
+    /// [`SpikeRaster::total_spikes`] and [`SpikeRaster::num_active_trains`].
+    /// The simulation engine calls this for every layer when the noise
+    /// transform is the identity ([`crate::SpikeTransform::is_identity`]): every
+    /// received train is then its canonical encoded train.  The default
+    /// materialises that raster in `scratch`, so custom codings keep
+    /// working.  The five codings in this crate never build it: their
+    /// trains are functions of a small per-neuron symbol (a spike count,
+    /// a bit pattern or a first-spike time), so they decode each neuron
+    /// from a per-symbol `(value, spike count)` table in `scratch`, built
+    /// with their own [`NeuralCoding::decode`] and rebuilt only when the
+    /// coding or any field of `cfg` changes.
+    fn encode_decode_into(
+        &self,
+        values: &[f32],
+        cfg: &CodingConfig,
+        out: &mut Vec<f32>,
+        scratch: &mut CodingScratch,
+    ) -> (usize, usize) {
+        encode_decode_materialised(self, values, cfg, out, scratch)
     }
 
     /// Integrates a spike train through the coding's PSC kernel, recovering

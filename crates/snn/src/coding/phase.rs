@@ -4,7 +4,7 @@ use nrsnn_tensor::simd::{
     active_backend, phase_bits, phase_bits_value, phase_pow2_sum_with, sum8_by,
 };
 
-use crate::coding::CodingScratch;
+use crate::coding::{encode_decode_symbols, encode_symbols_into, CodingScratch, SymbolCoding};
 use crate::{CodingConfig, CodingKind, NeuralCoding, Result, SnnError, SpikeRaster};
 
 /// Largest period whose phase pattern fits the `u64` bit representation
@@ -20,11 +20,11 @@ const MAX_LANE_PERIOD: u32 = 64;
 /// below the overflow horizon.  Longer periods keep the float fold.
 const MAX_EXACT_PERIOD: u32 = 24;
 
-/// Bounds for the precomputed train table the block encode uses: with
-/// `period ≤ 8` there are at most 256 distinct bit patterns, so every
-/// canonical train for a fixed window is tabulated once (≤ 1 MiB at the
-/// step cap, ~48 KiB at the paper's windows) and each neuron's train
-/// becomes a single `extend_from_slice`.
+/// Bounds for the precomputed train and symbol tables: with `period ≤ 8`
+/// there are at most 256 distinct bit patterns, so every canonical train
+/// for a fixed window is tabulated once (≤ 1 MiB at the step cap, ~48 KiB
+/// at the paper's windows) and each neuron's train becomes a single
+/// `extend_from_slice` (or, on the clean path, one decode-table lookup).
 const PHASE_TABLE_MAX_PERIOD: u32 = 8;
 const PHASE_TABLE_MAX_STEPS: u32 = 2048;
 
@@ -244,46 +244,17 @@ impl NeuralCoding for PhaseCoding {
         raster: &mut SpikeRaster,
         scratch: &mut CodingScratch,
     ) {
-        if self.period > MAX_LANE_PERIOD {
-            raster.fill_trains(values.len(), cfg.time_steps, |i, train| {
-                self.encode_into(values[i], cfg, train);
-            });
-            return;
-        }
-        self.fill_weight_tables(&mut scratch.weights, &mut scratch.thresholds);
-        scratch.bits.clear();
-        scratch.bits.resize(values.len(), 0);
-        phase_bits(
-            values,
-            cfg.threshold,
-            &scratch.weights,
-            &scratch.thresholds,
-            &mut scratch.bits,
-        );
-        if self.period <= PHASE_TABLE_MAX_PERIOD && cfg.time_steps <= PHASE_TABLE_MAX_STEPS {
-            let key = Some((CodingKind::Phase, cfg.time_steps, self.period));
-            if scratch.train_key != key {
-                scratch.train_table.clear();
-                scratch.train_offsets.clear();
-                scratch.train_offsets.push(0);
-                for pattern in 0..(1u64 << self.period) {
-                    self.emit_bits(pattern, cfg, &mut scratch.train_table);
-                    scratch.train_offsets.push(scratch.train_table.len() as u32);
-                }
-                scratch.train_key = key;
-            }
-            let bits = &scratch.bits;
-            let (table, offsets) = (&scratch.train_table, &scratch.train_offsets);
-            raster.fill_trains_trusted(values.len(), cfg.time_steps, |i, train| {
-                let b = bits[i] as usize;
-                train.extend_from_slice(&table[offsets[b] as usize..offsets[b + 1] as usize]);
-            });
-            return;
-        }
-        let bits = &scratch.bits;
-        raster.fill_trains_trusted(values.len(), cfg.time_steps, |i, train| {
-            self.emit_bits(bits[i], cfg, train);
-        });
+        encode_symbols_into(self, values, cfg, raster, scratch);
+    }
+
+    fn encode_decode_into(
+        &self,
+        values: &[f32],
+        cfg: &CodingConfig,
+        out: &mut Vec<f32>,
+        scratch: &mut CodingScratch,
+    ) -> (usize, usize) {
+        encode_decode_symbols(self, values, cfg, out, scratch)
     }
 
     fn decode(&self, train: &[u32], cfg: &CodingConfig) -> f32 {
@@ -299,6 +270,46 @@ impl NeuralCoding for PhaseCoding {
         let periods = self.num_periods(cfg) as f32;
         let sum = sum8_by(train.len(), |i| self.phase_weight(train[i]));
         cfg.threshold * sum / periods
+    }
+}
+
+/// Symbol: one period's bit pattern (`2^period` of them); its canonical
+/// train is [`PhaseCoding::emit_bits`].
+impl SymbolCoding for PhaseCoding {
+    const TABULATE_TRAINS: bool = true;
+
+    fn structure(&self) -> u32 {
+        self.period
+    }
+
+    fn symbol_count(&self, cfg: &CodingConfig) -> Option<usize> {
+        (self.period <= PHASE_TABLE_MAX_PERIOD && cfg.time_steps <= PHASE_TABLE_MAX_STEPS)
+            .then_some(1 << self.period)
+    }
+
+    fn head(&self, values: &[f32], cfg: &CodingConfig, scratch: &mut CodingScratch) -> bool {
+        if self.period > MAX_LANE_PERIOD {
+            return false;
+        }
+        self.fill_weight_tables(&mut scratch.weights, &mut scratch.thresholds);
+        scratch.bits.clear();
+        scratch.bits.resize(values.len(), 0);
+        phase_bits(
+            values,
+            cfg.threshold,
+            &scratch.weights,
+            &scratch.thresholds,
+            &mut scratch.bits,
+        );
+        true
+    }
+
+    fn symbol(&self, scratch: &CodingScratch, i: usize, _cfg: &CodingConfig) -> usize {
+        scratch.bits[i] as usize
+    }
+
+    fn emit(&self, s: usize, cfg: &CodingConfig, out: &mut Vec<u32>) {
+        self.emit_bits(s as u64, cfg, out);
     }
 }
 

@@ -2,7 +2,9 @@
 
 use nrsnn_tensor::simd::{active_backend, encode_quant_with, quantize_value, scale_ratio_with};
 
-use crate::coding::CodingScratch;
+use crate::coding::{
+    encode_decode_symbols, encode_symbols_into, CodingScratch, SymbolCoding, TABLE_MAX_STEPS,
+};
 use crate::{CodingConfig, CodingKind, NeuralCoding, SpikeRaster};
 
 /// Largest `time_steps` the lane-blocked encode handles: the truncating
@@ -10,14 +12,6 @@ use crate::{CodingConfig, CodingKind, NeuralCoding, SpikeRaster};
 /// f32-exact integer range `[0, 2^24]`.  Windows beyond that (far past
 /// anything the paper sweeps) take the per-value path.
 const MAX_LANE_STEPS: u32 = 1 << 24;
-
-/// Largest window for which the block encode precomputes all `T+1`
-/// canonical trains (one per possible spike count) and materialises each
-/// neuron's train as a single `extend_from_slice`.  The table holds
-/// `T·(T+1)/2` spike times — ~2 MiB of `u32` at the cap, L1-resident at
-/// the paper's windows — and amortises over every row encoded with the
-/// same window.  Wider windows fall back to direct Bresenham emission.
-const RATE_TABLE_MAX_STEPS: u32 = 1024;
 
 /// Rate coding: an activation `a ∈ [0, θ]` is represented by
 /// `n = round(a/θ · T)` spikes spread evenly over the window, and decoded as
@@ -102,46 +96,17 @@ impl NeuralCoding for RateCoding {
         raster: &mut SpikeRaster,
         scratch: &mut CodingScratch,
     ) {
-        let t = cfg.time_steps;
-        if t > MAX_LANE_STEPS {
-            raster.fill_trains(values.len(), t, |i, train| {
-                self.encode_into(values[i], cfg, train);
-            });
-            return;
-        }
-        scratch.lanes.clear();
-        scratch.lanes.resize(values.len(), 0.0);
-        encode_quant_with(
-            active_backend(),
-            values,
-            cfg.threshold,
-            t as f32,
-            &mut scratch.lanes,
-        );
-        if t <= RATE_TABLE_MAX_STEPS {
-            let key = Some((CodingKind::Rate, t, 0));
-            if scratch.train_key != key {
-                scratch.train_table.clear();
-                scratch.train_offsets.clear();
-                scratch.train_offsets.push(0);
-                for n in 0..=t {
-                    emit_evenly(n, t, &mut scratch.train_table);
-                    scratch.train_offsets.push(scratch.train_table.len() as u32);
-                }
-                scratch.train_key = key;
-            }
-            let counts = &scratch.lanes;
-            let (table, offsets) = (&scratch.train_table, &scratch.train_offsets);
-            raster.fill_trains_trusted(values.len(), t, |i, train| {
-                let n = (counts[i] as u32).min(t) as usize;
-                train.extend_from_slice(&table[offsets[n] as usize..offsets[n + 1] as usize]);
-            });
-            return;
-        }
-        let counts = &scratch.lanes;
-        raster.fill_trains_trusted(values.len(), t, |i, train| {
-            emit_evenly((counts[i] as u32).min(t), t, train);
-        });
+        encode_symbols_into(self, values, cfg, raster, scratch);
+    }
+
+    fn encode_decode_into(
+        &self,
+        values: &[f32],
+        cfg: &CodingConfig,
+        out: &mut Vec<f32>,
+        scratch: &mut CodingScratch,
+    ) -> (usize, usize) {
+        encode_decode_symbols(self, values, cfg, out, scratch)
     }
 
     fn decode(&self, train: &[u32], cfg: &CodingConfig) -> f32 {
@@ -158,6 +123,41 @@ impl NeuralCoding for RateCoding {
         out.clear();
         out.extend(raster.iter().map(|(_, train)| train.len() as f32));
         scale_ratio_with(active_backend(), out, cfg.threshold, cfg.time_steps as f32);
+    }
+}
+
+/// Symbol: the spike count `0..=T`; its canonical train is
+/// [`emit_evenly`].  Windows up to [`TABLE_MAX_STEPS`] copy trains from a
+/// table of all `T+1` of them; wider ones emit by Bresenham.
+impl SymbolCoding for RateCoding {
+    const TABULATE_TRAINS: bool = true;
+
+    fn symbol_count(&self, cfg: &CodingConfig) -> Option<usize> {
+        (cfg.time_steps <= TABLE_MAX_STEPS).then_some(cfg.time_steps as usize + 1)
+    }
+
+    fn head(&self, values: &[f32], cfg: &CodingConfig, scratch: &mut CodingScratch) -> bool {
+        if cfg.time_steps > MAX_LANE_STEPS {
+            return false;
+        }
+        scratch.lanes.clear();
+        scratch.lanes.resize(values.len(), 0.0);
+        encode_quant_with(
+            active_backend(),
+            values,
+            cfg.threshold,
+            cfg.time_steps as f32,
+            &mut scratch.lanes,
+        );
+        true
+    }
+
+    fn symbol(&self, scratch: &CodingScratch, i: usize, cfg: &CodingConfig) -> usize {
+        (scratch.lanes[i] as u32).min(cfg.time_steps) as usize
+    }
+
+    fn emit(&self, s: usize, cfg: &CodingConfig, out: &mut Vec<u32>) {
+        emit_evenly(s as u32, cfg.time_steps, out);
     }
 }
 

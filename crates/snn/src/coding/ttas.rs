@@ -1,6 +1,7 @@
 //! Time-to-average-spike (TTAS) coding — the paper's proposed coding.
 
 use crate::coding::ttfs::TtfsCoding;
+use crate::coding::{encode_decode_symbols, encode_symbols_into, CodingScratch, SymbolCoding};
 use crate::{CodingConfig, CodingKind, IfbNeuron, NeuralCoding, Result, SnnError, SpikeRaster};
 
 /// TTAS coding: the value is carried by a *phasic burst* of `t_a` spikes
@@ -71,6 +72,12 @@ impl TtasCoding {
         1.0 / sum
     }
 
+    /// Appends the phasic burst `t₁, t₁+1, …` of `t_a` steps, cut at the
+    /// window's end.
+    fn emit_burst(&self, t1: u32, cfg: &CodingConfig, out: &mut Vec<u32>) {
+        out.extend(t1..t1.saturating_add(self.burst_duration).min(cfg.time_steps));
+    }
+
     /// Encodes by explicitly driving the simplified IFB neuron of Eq. 4 with
     /// a constant current chosen so its first threshold crossing happens at
     /// the TTFS spike time.  This is the hardware-oriented view of the
@@ -110,14 +117,9 @@ impl NeuralCoding for TtasCoding {
 
     fn encode_into(&self, activation: f32, cfg: &CodingConfig, out: &mut Vec<u32>) {
         out.clear();
-        let Some(t1) = TtfsCoding::spike_time(activation, cfg) else {
-            return;
-        };
-        out.extend(
-            (0..self.burst_duration)
-                .map(|k| t1 + k)
-                .filter(|&t| t < cfg.time_steps),
-        );
+        if let Some(t1) = TtfsCoding::spike_time(activation, cfg) {
+            self.emit_burst(t1, cfg, out);
+        }
     }
 
     fn encode_raster_into(
@@ -125,26 +127,19 @@ impl NeuralCoding for TtasCoding {
         values: &[f32],
         cfg: &CodingConfig,
         raster: &mut SpikeRaster,
-        scratch: &mut crate::coding::CodingScratch,
+        scratch: &mut CodingScratch,
     ) {
-        scratch.lanes.clear();
-        scratch.lanes.resize(values.len(), 0.0);
-        nrsnn_tensor::simd::encode_ratio_with(
-            nrsnn_tensor::simd::active_backend(),
-            values,
-            cfg.threshold,
-            &mut scratch.lanes,
-        );
-        let ratios = &scratch.lanes;
-        raster.fill_trains_trusted(values.len(), cfg.time_steps, |i, train| {
-            if let Some(t1) = TtfsCoding::spike_time_of_ratio(ratios[i], cfg) {
-                train.extend(
-                    (0..self.burst_duration)
-                        .map(|k| t1 + k)
-                        .filter(|&t| t < cfg.time_steps),
-                );
-            }
-        });
+        encode_symbols_into(self, values, cfg, raster, scratch);
+    }
+
+    fn encode_decode_into(
+        &self,
+        values: &[f32],
+        cfg: &CodingConfig,
+        out: &mut Vec<f32>,
+        scratch: &mut CodingScratch,
+    ) -> (usize, usize) {
+        encode_decode_symbols(self, values, cfg, out, scratch)
     }
 
     fn decode(&self, train: &[u32], cfg: &CodingConfig) -> f32 {
@@ -193,6 +188,29 @@ impl NeuralCoding for TtasCoding {
             };
             (scale * sum).min(cfg.threshold)
         }));
+    }
+}
+
+/// Symbol: silent, or the first-spike time + 1 (`T+1` symbols, shared
+/// with TTFS); its canonical train is the burst from that time.
+impl SymbolCoding for TtasCoding {
+    fn symbol_count(&self, cfg: &CodingConfig) -> Option<usize> {
+        TtfsCoding::time_symbol_count(cfg)
+    }
+
+    fn head(&self, values: &[f32], cfg: &CodingConfig, scratch: &mut CodingScratch) -> bool {
+        TtfsCoding::ratio_head(values, cfg, scratch);
+        true
+    }
+
+    fn symbol(&self, scratch: &CodingScratch, i: usize, cfg: &CodingConfig) -> usize {
+        TtfsCoding::time_symbol(scratch, i, cfg)
+    }
+
+    fn emit(&self, s: usize, cfg: &CodingConfig, out: &mut Vec<u32>) {
+        if let Some(t1) = s.checked_sub(1) {
+            self.emit_burst(t1 as u32, cfg, out);
+        }
     }
 }
 

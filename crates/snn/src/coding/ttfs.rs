@@ -2,7 +2,9 @@
 
 use nrsnn_tensor::simd::{active_backend, clamp_ratio, encode_ratio_with};
 
-use crate::coding::CodingScratch;
+use crate::coding::{
+    encode_decode_symbols, encode_symbols_into, CodingScratch, SymbolCoding, TABLE_MAX_STEPS,
+};
 use crate::{CodingConfig, CodingKind, NeuralCoding, SpikeRaster};
 
 /// TTFS coding after Park et al. ("T2FSNN", DAC 2020): a single spike whose
@@ -45,13 +47,40 @@ impl TtfsCoding {
         if ratio <= 0.0 {
             return None;
         }
-        let tau = cfg.ttfs_tau();
-        let t = (-tau * ratio.ln()).round();
-        if t >= cfg.time_steps as f32 {
+        let t = -cfg.ttfs_tau() * ratio.ln();
+        // `round(t) >= T` is `t >= T - 1/2`, which is exact in f64 for
+        // every window.
+        if f64::from(t) >= f64::from(cfg.time_steps) - 0.5 {
             // Too small to represent: the spike would fall outside the window.
             return None;
         }
-        Some(t.max(0.0) as u32)
+        // `round(t)` on `[-0, T - 1/2)` without a libm call: truncation and
+        // `t - trunc(t)` are exact there, and a NaN `t` (only from an
+        // infinite τ) maps to 0 like the saturating cast.  Equal to
+        // `t.round().max(0.0) as u32` on every positive f32 ratio.
+        let whole = t as u32;
+        Some(whole + u32::from(t - whole as f32 >= 0.5))
+    }
+
+    /// The time-symbol domain TTFS and TTAS share: `T+1` symbols (silent,
+    /// or first spike at `0..T`) while the window fits the tables.
+    pub(crate) fn time_symbol_count(cfg: &CodingConfig) -> Option<usize> {
+        (cfg.time_steps <= TABLE_MAX_STEPS).then_some(cfg.time_steps as usize + 1)
+    }
+
+    /// The lane-blocked head TTFS and TTAS share: clamped activation
+    /// ratios, 8 neurons at a time, into `scratch.lanes`.
+    pub(crate) fn ratio_head(values: &[f32], cfg: &CodingConfig, scratch: &mut CodingScratch) {
+        scratch.lanes.clear();
+        scratch.lanes.resize(values.len(), 0.0);
+        encode_ratio_with(active_backend(), values, cfg.threshold, &mut scratch.lanes);
+    }
+
+    /// Neuron `i`'s time symbol after [`TtfsCoding::ratio_head`]: 0 for a
+    /// silent neuron, first-spike time + 1 otherwise.  Only the logarithm
+    /// in here stays per-neuron scalar.
+    pub(crate) fn time_symbol(scratch: &CodingScratch, i: usize, cfg: &CodingConfig) -> usize {
+        TtfsCoding::spike_time_of_ratio(scratch.lanes[i], cfg).map_or(0, |t| t as usize + 1)
     }
 
     /// The value carried by a spike at time `t`.
@@ -89,15 +118,17 @@ impl NeuralCoding for TtfsCoding {
         raster: &mut SpikeRaster,
         scratch: &mut CodingScratch,
     ) {
-        scratch.lanes.clear();
-        scratch.lanes.resize(values.len(), 0.0);
-        encode_ratio_with(active_backend(), values, cfg.threshold, &mut scratch.lanes);
-        let ratios = &scratch.lanes;
-        raster.fill_trains_trusted(values.len(), cfg.time_steps, |i, train| {
-            if let Some(t) = TtfsCoding::spike_time_of_ratio(ratios[i], cfg) {
-                train.push(t);
-            }
-        });
+        encode_symbols_into(self, values, cfg, raster, scratch);
+    }
+
+    fn encode_decode_into(
+        &self,
+        values: &[f32],
+        cfg: &CodingConfig,
+        out: &mut Vec<f32>,
+        scratch: &mut CodingScratch,
+    ) -> (usize, usize) {
+        encode_decode_symbols(self, values, cfg, out, scratch)
     }
 
     fn decode(&self, train: &[u32], cfg: &CodingConfig) -> f32 {
@@ -130,6 +161,29 @@ impl NeuralCoding for TtfsCoding {
             Some(&t) => TtfsCoding::value_at(t, cfg),
             None => 0.0,
         }));
+    }
+}
+
+/// Symbol: silent, or the first-spike time + 1 (`T+1` symbols); its
+/// canonical train is that one spike.
+impl SymbolCoding for TtfsCoding {
+    fn symbol_count(&self, cfg: &CodingConfig) -> Option<usize> {
+        TtfsCoding::time_symbol_count(cfg)
+    }
+
+    fn head(&self, values: &[f32], cfg: &CodingConfig, scratch: &mut CodingScratch) -> bool {
+        TtfsCoding::ratio_head(values, cfg, scratch);
+        true
+    }
+
+    fn symbol(&self, scratch: &CodingScratch, i: usize, cfg: &CodingConfig) -> usize {
+        TtfsCoding::time_symbol(scratch, i, cfg)
+    }
+
+    fn emit(&self, s: usize, _cfg: &CodingConfig, out: &mut Vec<u32>) {
+        if let Some(t) = s.checked_sub(1) {
+            out.push(t as u32);
+        }
     }
 }
 

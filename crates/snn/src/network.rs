@@ -23,6 +23,11 @@
 //! raster density is recorded for tracing
 //! ([`SimWorkspace::density_per_layer`]).
 //!
+//! With identity noise (the paper's clean baselines) the workspace path
+//! builds no rasters: each layer's input is encoded and decoded in one
+//! [`NeuralCoding::encode_decode_into`] call, which reads every neuron's
+//! value and spike count from a per-symbol table.
+//!
 //! [`SnnNetwork::simulate`] is a thin wrapper over a one-shot workspace, so
 //! existing callers keep their API and gain the allocation-free inner loop.
 
@@ -37,10 +42,11 @@ use nrsnn_tensor::{
 };
 use rand::RngCore;
 
+use crate::spike::activity_fraction;
 use crate::workspace::ConvScratch;
 use crate::{
-    BatchOutcome, CodingConfig, CodingScratch, NeuralCoding, Result, SimStage, SimWorkspace,
-    SnnError, SpikeRaster, StageEvent,
+    BatchOutcome, CodingConfig, NeuralCoding, Result, SimStage, SimWorkspace, SnnError,
+    SpikeRaster, StageEvent,
 };
 
 /// One layer of a converted spiking network.
@@ -295,9 +301,13 @@ pub trait SpikeTransform: Send + Sync {
     /// (e.g. deletion with `p = 0`).
     ///
     /// The simulation engine uses this to skip the transform entirely on the
-    /// no-noise path instead of cloning the full raster; because an identity
-    /// transform draws nothing from the RNG, skipping it leaves all
-    /// downstream random draws — and therefore all results — unchanged.
+    /// no-noise path; because an identity transform draws nothing from the
+    /// RNG, skipping it leaves all downstream random draws — and therefore
+    /// all results — unchanged.  It goes further: every received train is
+    /// then its canonical encoded train, so no raster is built and each
+    /// layer is decoded inside the encode call
+    /// ([`NeuralCoding::encode_decode_into`]).  Returning `true` for a
+    /// transform that changes a raster would therefore change results.
     fn is_identity(&self) -> bool {
         false
     }
@@ -671,13 +681,22 @@ impl SnnNetwork {
         ws: &mut SimWorkspace,
     ) -> BatchOutcome {
         let num_layers = self.layers.len();
-        // Grow (never shrink) the per-layer raster pools, so buffers reach a
-        // fixed point and later samples allocate nothing.
-        if ws.rasters.len() < num_layers {
-            ws.rasters.resize_with(num_layers, SpikeRaster::default);
-        }
-        if ws.received.len() < num_layers {
-            ws.received.resize_with(num_layers, SpikeRaster::default);
+        // With an identity transform every received train is its canonical
+        // encoded train, and skipping the transform is exact: it would
+        // neither change a raster nor consume randomness (see
+        // SpikeTransform::is_identity).  So each layer's input is decoded
+        // straight from the coding's per-symbol table in the encode call,
+        // and no raster is built (NeuralCoding::encode_decode_into).
+        let clean = noise.is_identity();
+        if !clean {
+            // Grow (never shrink) the per-layer raster pools, so buffers
+            // reach a fixed point and later samples allocate nothing.
+            if ws.rasters.len() < num_layers {
+                ws.rasters.resize_with(num_layers, SpikeRaster::default);
+            }
+            if ws.received.len() < num_layers {
+                ws.received.resize_with(num_layers, SpikeRaster::default);
+            }
         }
         ws.spikes_per_layer.clear();
         ws.density_per_layer.clear();
@@ -693,25 +712,22 @@ impl SnnNetwork {
             None
         };
         // Encode the input pixels as the first spike raster.  Pixels are in
-        // [0, 1]; the coding clamps to its ceiling.
-        encode_vector_into(
-            input,
-            coding,
-            cfg,
-            &mut ws.rasters[0],
-            &mut ws.encode_scratch,
-        );
+        // [0, 1]; the coding clamps to its ceiling.  `sent` carries the
+        // clean path's (spikes, active neurons) to the next layer.
+        let mut sent = (0, 0);
+        if clean {
+            sent = coding.encode_decode_into(input, cfg, &mut ws.decoded, &mut ws.encode_scratch);
+        } else {
+            coding.encode_raster_into(input, cfg, &mut ws.rasters[0], &mut ws.encode_scratch);
+        }
         stage_mark(&mut ws.stage_events, &mut mark, SimStage::Encode, 0, 0.0);
-        // Skipping an identity transform is exact: it would neither change
-        // the raster nor consume randomness (see SpikeTransform::is_identity).
-        let skip_noise = noise.is_identity();
 
         for (index, layer) in self.layers.iter().enumerate() {
-            // Synaptic noise corrupts the spikes actually transmitted to
-            // this layer.
-            let received = if skip_noise {
-                &ws.rasters[index]
+            let (spikes, active) = if clean {
+                sent
             } else {
+                // Synaptic noise corrupts the spikes actually transmitted
+                // to this layer.
                 noise.apply_into(&ws.rasters[index], &mut ws.received[index], rng);
                 stage_mark(
                     &mut ws.stage_events,
@@ -720,16 +736,17 @@ impl SnnNetwork {
                     index as u32,
                     0.0,
                 );
-                &ws.received[index]
+                // Integrate the received trains through the coding's PSC
+                // kernel.
+                let received = &ws.received[index];
+                coding.decode_into(received, cfg, &mut ws.decoded, &mut ws.decode_scratch);
+                (received.total_spikes(), received.num_active_trains())
             };
-            ws.spikes_per_layer.push(received.total_spikes());
+            ws.spikes_per_layer.push(spikes);
             // The fraction of neurons that fired at all, recorded for
             // tracing; it does not steer the computation.
-            let density = received.density();
+            let density = activity_fraction(active, ws.decoded.len());
             ws.density_per_layer.push(density);
-
-            // Integrate the received trains through the coding's PSC kernel.
-            coding.decode_into(received, cfg, &mut ws.decoded, &mut ws.decode_scratch);
             stage_mark(
                 &mut ws.stage_events,
                 &mut mark,
@@ -750,13 +767,21 @@ impl SnnNetwork {
                 for v in &mut ws.activation {
                     *v = v.max(0.0);
                 }
-                encode_vector_into(
-                    &ws.activation,
-                    coding,
-                    cfg,
-                    &mut ws.rasters[index + 1],
-                    &mut ws.encode_scratch,
-                );
+                if clean {
+                    sent = coding.encode_decode_into(
+                        &ws.activation,
+                        cfg,
+                        &mut ws.decoded,
+                        &mut ws.encode_scratch,
+                    );
+                } else {
+                    coding.encode_raster_into(
+                        &ws.activation,
+                        cfg,
+                        &mut ws.rasters[index + 1],
+                        &mut ws.encode_scratch,
+                    );
+                }
                 stage_mark(
                     &mut ws.stage_events,
                     &mut mark,
@@ -848,19 +873,6 @@ impl EvaluationSummary {
 fn encode_vector(values: &[f32], coding: &dyn NeuralCoding, cfg: &CodingConfig) -> SpikeRaster {
     let trains = values.iter().map(|&v| coding.encode(v, cfg)).collect();
     SpikeRaster::from_trains(trains, cfg.time_steps)
-}
-
-/// Allocation-free sibling of [`encode_vector`]: refills `raster` in place
-/// through the coding's lane-blocked block path (8 neurons per SIMD block,
-/// SoA intermediates in `scratch`), producing the identical raster.
-fn encode_vector_into(
-    values: &[f32],
-    coding: &dyn NeuralCoding,
-    cfg: &CodingConfig,
-    raster: &mut SpikeRaster,
-    scratch: &mut CodingScratch,
-) {
-    coding.encode_raster_into(values, cfg, raster, scratch);
 }
 
 /// Closes the current tracing interval at `Instant::now()`, pushing one

@@ -93,10 +93,7 @@ impl SpikeRaster {
     /// the simulation engine records per layer for tracing.  An empty
     /// raster reports a density of `1.0` (nothing can be skipped).
     pub fn density(&self) -> f32 {
-        if self.trains.is_empty() {
-            return 1.0;
-        }
-        self.num_active_trains() as f32 / self.trains.len() as f32
+        activity_fraction(self.num_active_trains(), self.trains.len())
     }
 
     /// Iterates over `(neuron_index, spike_train)` pairs.
@@ -234,6 +231,16 @@ impl SpikeRaster {
             dst.clone_from(src);
         }
     }
+}
+
+/// `active / neurons` as [`SpikeRaster::density`] reports it (`1.0` for no
+/// neurons), shared with the simulation's clean path, which counts active
+/// neurons without building the raster.
+pub(crate) fn activity_fraction(active: usize, neurons: usize) -> f32 {
+    if neurons == 0 {
+        return 1.0;
+    }
+    active as f32 / neurons as f32
 }
 
 /// Clamps every time to the window, sorts, and merges duplicate times — the

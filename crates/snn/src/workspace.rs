@@ -4,7 +4,8 @@
 //! One clock-driven SNN inference needs, per layer, a spike raster, a noisy
 //! copy of it, a decoded activation vector, a dense output vector and — for
 //! convolution layers — the unfolded input the direct convolution kernel
-//! reads.  The original `SnnNetwork::simulate` allocated all of
+//! reads.  (Without noise the rasters are skipped: each layer is decoded
+//! straight from the coding's per-symbol table.)  The original `SnnNetwork::simulate` allocated all of
 //! these afresh on every call, which dominated the cost of the paper's
 //! `(coding × noise level × sample)` sweep grids.  A `SimWorkspace` owns all
 //! of those buffers once; the batched entry points
@@ -64,7 +65,11 @@ pub enum SimStage {
     Encode,
     /// Synaptic-noise corruption of a transmitted raster.
     Noise,
-    /// Spike-to-analog PSC decode of a received raster.
+    /// Spike-to-analog PSC decode of a received raster.  Reads ~0 on the
+    /// clean path (identity noise), where each layer's input is decoded
+    /// inside the preceding [`SimStage::Encode`] call
+    /// ([`crate::NeuralCoding::encode_decode_into`]) and no raster exists
+    /// to decode.
     Decode,
     /// A layer's forward pass.
     Forward,
@@ -115,15 +120,17 @@ pub(crate) struct ConvScratch {
 #[derive(Debug, Clone, Default)]
 pub struct SimWorkspace {
     /// One raster per layer: `rasters[i]` is the (clean) raster entering
-    /// layer `i`.  Keeping them per layer — instead of ping-ponging one
+    /// layer `i`.  Built only under noise: with an identity transform
+    /// each layer is decoded from the coding's per-symbol table and this
+    /// pool is never touched.  Keeping them per layer — instead of ping-ponging one
     /// buffer through widths that alternate every layer — is what lets the
     /// per-neuron spike buffers reach a fixed point after warm-up: a
     /// `Vec<Vec<u32>>` that shrank would drop its tail buffers and have to
     /// reallocate them on the next sample.
     pub(crate) rasters: Vec<SpikeRaster>,
     /// Per-layer noise-corrupted rasters actually received by each layer;
-    /// unused (and untouched) when the transform reports itself as the
-    /// identity.
+    /// untouched, like [`SimWorkspace::rasters`], when the transform
+    /// reports itself as the identity.
     pub(crate) received: Vec<SpikeRaster>,
     /// PSC-decoded activations entering the current layer.
     pub(crate) decoded: Vec<f32>,
@@ -132,9 +139,12 @@ pub struct SimWorkspace {
     /// kernel in here once per raster instead of exp-ing per spike).
     pub(crate) decode_scratch: Vec<f32>,
     /// Reusable SoA scratch handed to
-    /// [`crate::NeuralCoding::encode_raster_into`]: the lane-blocked
+    /// [`crate::NeuralCoding::encode_raster_into`] and
+    /// [`crate::NeuralCoding::encode_decode_into`]: the lane-blocked
     /// encoders compute per-neuron counts/ratios/bit patterns in here 8
-    /// lanes at a time before materialising the spike trains.
+    /// lanes at a time, then either materialise the spike trains or, on
+    /// the clean path, look each neuron up in the per-symbol decode table
+    /// kept in here too.
     pub(crate) encode_scratch: CodingScratch,
     /// Measured input density (fraction of neurons that fired) of each
     /// layer's received raster in the most recent simulation.

@@ -9,7 +9,9 @@
 //! subnormals, NaN, infinities, exact `0.0`/`1.0`, values a few ULP around
 //! the clipping threshold).  The decode half pins `decode_into` against
 //! per-train `decode`, including the empty-train `+0.0` contract, per
-//! coding and per ISA.  This file is the
+//! coding and per ISA, and the clean path's fused `encode_decode_into`
+//! against the materialising encode → decode pair it replaces.  This file
+//! is the
 //! coding-layer sibling of `crates/tensor/tests/simd_kernel_proptest.rs`
 //! (kernel level) and `tests/workspace_bit_identity.rs` (whole pipelines).
 
@@ -306,6 +308,82 @@ fn adversarial_activation_sweep_is_isa_invariant() {
                         coding.name(),
                     );
                 }
+            }
+        }
+    }
+    set_backend(previous);
+}
+
+/// Clean-path windows: the degenerate single step, odd windows with partial
+/// phase periods, the paper's 128, and 1025 — one past the widest window
+/// whose counts and spike times are tabulated, so rate (and TTFS/TTAS and
+/// wide bursts) take the materialising fallback there.
+const CLEAN_TIME_STEPS: &[u32] = &[1, 7, 17, 128, 1025];
+
+/// Every coding variant whose symbol domain or fallback the clean path
+/// depends on, for window `t`: phase periods 1, 3, 8 and 9 (one past the
+/// tabulated period), burst caps 1, 8 and beyond the window, TTAS bursts
+/// 1, 5 and beyond the window.
+fn clean_codings(t: u32) -> Vec<Box<dyn NeuralCoding>> {
+    vec![
+        Box::new(RateCoding::new()),
+        Box::new(PhaseCoding::with_period(1).unwrap()),
+        Box::new(PhaseCoding::with_period(3).unwrap()),
+        Box::new(PhaseCoding::new()),
+        Box::new(PhaseCoding::with_period(9).unwrap()),
+        Box::new(BurstCoding::with_max_spikes(1).unwrap()),
+        Box::new(BurstCoding::new()),
+        Box::new(BurstCoding::with_max_spikes(t + 3).unwrap()),
+        Box::new(TtfsCoding::new()),
+        Box::new(TtasCoding::new(1).unwrap()),
+        Box::new(TtasCoding::new(5).unwrap()),
+        Box::new(TtasCoding::new(t + 3).unwrap()),
+    ]
+}
+
+/// The fused clean path (`encode_decode_into`) on every ISA must equal the
+/// materialising pair it stands for — `encode_raster_into`, `decode_into`,
+/// then the raster's `total_spikes` and `num_active_trains` — in decoded
+/// bits, spike total and active count.  One dirty scratch is shared by
+/// every case, coding and ISA, so each symbol table is rebuilt whenever
+/// its key changes and must never be reused stale.
+#[test]
+fn encode_decode_every_isa_matches_materialised_pair() {
+    let _guard = backend_guard();
+    let mut rng = rng_for("encode_decode_every_isa_matches_materialised_pair");
+    let previous = set_backend(SimdBackend::Scalar);
+    let isas = available_backends();
+    let mut fused_scratch = CodingScratch::new();
+    let mut pair_scratch = CodingScratch::new();
+    let mut raster = SpikeRaster::new(0, 1);
+    let (mut fused, mut decoded, mut psc) = (vec![9.0f32; 3], Vec::new(), Vec::new());
+    for _ in 0..CASES {
+        let mut cfg = CodingConfig::new(
+            CLEAN_TIME_STEPS[rng.gen_range(0..CLEAN_TIME_STEPS.len())],
+            THRESHOLDS[rng.gen_range(0..THRESHOLDS.len())],
+        );
+        if rng.gen_range(0u32..2) == 0 {
+            cfg.ttfs_tau_fraction = 0.13;
+        }
+        let width = WIDTHS[rng.gen_range(0..WIDTHS.len())];
+        let values = draw_values(&mut rng, width, cfg.threshold);
+        for &isa in &isas {
+            set_backend(isa);
+            for coding in &clean_codings(cfg.time_steps) {
+                let context = format!(
+                    "{isa:?} {} T={} θ={} τ={}",
+                    coding.name(),
+                    cfg.time_steps,
+                    cfg.threshold,
+                    cfg.ttfs_tau_fraction
+                );
+                coding.encode_raster_into(&values, &cfg, &mut raster, &mut pair_scratch);
+                coding.decode_into(&raster, &cfg, &mut decoded, &mut psc);
+                let (spikes, active) =
+                    coding.encode_decode_into(&values, &cfg, &mut fused, &mut fused_scratch);
+                assert_eq!(bits(&fused), bits(&decoded), "{context}: decoded bits");
+                assert_eq!(spikes, raster.total_spikes(), "{context}: spike total");
+                assert_eq!(active, raster.num_active_trains(), "{context}: active");
             }
         }
     }

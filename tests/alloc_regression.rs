@@ -138,6 +138,33 @@ fn build_inputs(samples: usize, width: usize) -> Tensor {
     Tensor::from_vec(data, &[samples, width]).unwrap()
 }
 
+fn all_codings() -> [CodingKind; 5] {
+    [
+        CodingKind::Rate,
+        CodingKind::Phase,
+        CodingKind::Burst,
+        CodingKind::Ttfs,
+        CodingKind::Ttas(5),
+    ]
+}
+
+/// The no-noise path, both random noise models and a multi-stage composite.
+fn noise_models() -> Vec<(&'static str, Box<dyn SpikeTransform>)> {
+    vec![
+        ("identity", Box::new(IdentityTransform)),
+        ("deletion", Box::new(DeletionNoise::new(0.3).unwrap())),
+        ("jitter", Box::new(JitterNoise::new(1.2).unwrap())),
+        (
+            "composite",
+            Box::new(
+                CompositeNoise::new()
+                    .then(DeletionNoise::new(0.2).unwrap())
+                    .then(JitterNoise::new(1.0).unwrap()),
+            ),
+        ),
+    ]
+}
+
 #[test]
 fn steady_state_simulate_batch_allocates_zero_per_sample() {
     // The MLP and the CNN: the conv path keeps its unfolded input in the
@@ -154,28 +181,10 @@ fn steady_state_simulate_batch_allocates_zero_per_sample() {
     // multi-stage composite: every combination must be allocation-free in
     // steady state (the composite applies stages after the first in place,
     // so it needs no scratch raster).
-    let noises: Vec<(&str, Box<dyn SpikeTransform>)> = vec![
-        ("identity", Box::new(IdentityTransform)),
-        ("deletion", Box::new(DeletionNoise::new(0.3).unwrap())),
-        ("jitter", Box::new(JitterNoise::new(1.2).unwrap())),
-        (
-            "composite",
-            Box::new(
-                CompositeNoise::new()
-                    .then(DeletionNoise::new(0.2).unwrap())
-                    .then(JitterNoise::new(1.0).unwrap()),
-            ),
-        ),
-    ];
-    let codings = [
-        CodingKind::Rate,
-        CodingKind::Phase,
-        CodingKind::Ttfs,
-        CodingKind::Ttas(5),
-    ];
+    let noises = noise_models();
     for (net_name, network) in &networks {
         let inputs = build_inputs(32, network.input_width());
-        for kind in codings {
+        for kind in all_codings() {
             let coding = kind.build();
             for (noise_name, noise) in &noises {
                 let context = format!("{net_name} {} under {noise_name}", kind.label());
@@ -221,6 +230,60 @@ fn steady_state_simulate_batch_allocates_zero_per_sample() {
                 }
             }
         }
+    }
+}
+
+/// Sweep and serve workers keep one workspace across codings, so the coding
+/// scratch's train and symbol tables are rebuilt on every switch.  After
+/// one warm-up cycle through all five codings × every noise model, each
+/// table has reached its largest size, and a whole further cycle must not
+/// allocate at all.
+#[test]
+fn one_workspace_cycling_through_every_coding_allocates_zero() {
+    let networks = [
+        ("mlp", build_network(24, 18, 6)),
+        ("cnn", build_conv_network()),
+    ];
+    let cfg = CodingConfig::new(64, 1.0);
+    let codings: Vec<Box<dyn NeuralCoding>> = all_codings().iter().map(|k| k.build()).collect();
+    let noises = noise_models();
+    for (net_name, network) in &networks {
+        let inputs = build_inputs(8, network.input_width());
+        let mut ws = SimWorkspace::new();
+        let mut outcomes: Vec<BatchOutcome> = Vec::new();
+        // One cycle: every coding under every noise model, in that order,
+        // through the same workspace; `results` collects every outcome.
+        let run_cycle = |ws: &mut SimWorkspace,
+                         outcomes: &mut Vec<BatchOutcome>,
+                         results: &mut Vec<BatchOutcome>| {
+            for coding in &codings {
+                for (_, noise) in &noises {
+                    network
+                        .simulate_batch(
+                            &inputs,
+                            0..8,
+                            coding.as_ref(),
+                            &cfg,
+                            noise.as_ref(),
+                            |sample| StdRng::seed_from_u64(derive_seed(77, sample as u64)),
+                            ws,
+                            outcomes,
+                        )
+                        .unwrap();
+                    results.extend_from_slice(outcomes);
+                }
+            }
+        };
+        let mut reference = Vec::new();
+        let warmup = allocations_during(|| run_cycle(&mut ws, &mut outcomes, &mut reference));
+        assert!(warmup > 0, "{net_name}: warm-up should allocate");
+        let mut results = Vec::with_capacity(reference.len());
+        let steady = allocations_during(|| run_cycle(&mut ws, &mut outcomes, &mut results));
+        assert_eq!(
+            steady, 0,
+            "{net_name}: a second cycle through every coding allocated {steady} times"
+        );
+        assert_eq!(results, reference, "{net_name}: cycle results diverged");
     }
 }
 

@@ -10,7 +10,7 @@
 use nrsnn::prelude::*;
 use nrsnn_data::DatasetSpec;
 use nrsnn_runtime::{derive_seed, parallel_map, ParallelConfig};
-use nrsnn_snn::{SimulationOutcome, SnnLayer};
+use nrsnn_snn::{BurstCoding, PhaseCoding, RateCoding, SimulationOutcome, SnnLayer, TtfsCoding};
 use nrsnn_tensor::{Conv2dGeometry, Pool2dGeometry, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -334,7 +334,8 @@ fn matrix_inputs(samples: usize, width: usize) -> Tensor {
     Tensor::from_vec(data, &[samples, width]).unwrap()
 }
 
-/// Scalar-vs-SIMD matrix: 5 codings × {deletion, jitter, composite} ×
+/// Scalar-vs-SIMD matrix: 5 codings × {identity, deletion, jitter,
+/// composite} ×
 /// batch sizes 1..=16 × every ISA the host CPU supports, with the scalar
 /// reference run both serially and fanned over 4 worker threads (the two
 /// digests must agree bit for bit).  The per-ISA digests — outcomes and logit bits, a few draws from the
@@ -342,7 +343,8 @@ fn matrix_inputs(samples: usize, width: usize) -> Tensor {
 /// pool → linear probe (so the conv/pooling arms ride through the same
 /// matrix) — must be identical to the scalar backend's digest.  Together
 /// with the lane-blocked coding layer this covers the *entire* noisy
-/// pipeline per ISA: block encode → noise → block decode → forward.  This
+/// pipeline per ISA — block encode → noise → block decode → forward — and
+/// the clean path, which decodes each layer from per-symbol tables.  This
 /// is the end-to-end half of the SIMD bit-identity contract; the
 /// kernel-level half lives in `crates/tensor/tests/simd_kernel_proptest.rs`
 /// and the coding-layer half in `crates/snn/tests/coding_simd_proptest.rs`.
@@ -357,9 +359,10 @@ fn scalar_and_simd_backends_are_byte_identical_across_the_matrix() {
     let conv_inputs = matrix_inputs(2, 36);
     let conv_cfg = CodingConfig::new(40, 1.0);
     let cfg = CodingConfig::new(48, 1.0);
-    let noise_names = ["deletion", "jitter", "composite"];
+    let noise_names = ["identity", "deletion", "jitter", "composite"];
     let build_noise = |name: &str| -> Box<dyn SpikeTransform> {
         match name {
+            "identity" => Box::new(IdentityTransform),
             "deletion" => Box::new(DeletionNoise::new(0.5).unwrap()),
             "jitter" => Box::new(JitterNoise::new(1.5).unwrap()),
             "composite" => Box::new(
@@ -476,6 +479,89 @@ fn scalar_and_simd_backends_are_byte_identical_across_the_matrix() {
         }
     }
     set_backend(previous);
+}
+
+/// One workspace reused across coding configurations that differ in one
+/// field at a time — θ, `ttfs_tau_fraction`, T, the phase period, the
+/// burst `max_spikes`, the TTAS duration — must give, on the clean path,
+/// exactly what a fresh workspace and the reference path give.  The clean
+/// path decodes from per-symbol tables cached in the workspace; a table key
+/// that missed any of these fields would serve stale values here.
+#[test]
+fn reused_workspace_across_config_changes_matches_fresh_and_reference() {
+    let network = matrix_network();
+    let inputs = matrix_inputs(4, 24);
+    let base = CodingConfig::new(48, 1.0);
+    let theta = CodingConfig::new(48, 0.8);
+    let mut tau = base;
+    tau.ttfs_tau_fraction = 0.11;
+    let steps = CodingConfig::new(40, 1.0);
+    let steps_theta = CodingConfig::new(40, 0.8);
+    let phase =
+        |period| -> Box<dyn NeuralCoding> { Box::new(PhaseCoding::with_period(period).unwrap()) };
+    let burst =
+        |max| -> Box<dyn NeuralCoding> { Box::new(BurstCoding::with_max_spikes(max).unwrap()) };
+    let ttas = |duration| -> Box<dyn NeuralCoding> { Box::new(TtasCoding::new(duration).unwrap()) };
+    // Consecutive entries differ in exactly one field of (coding, config).
+    let runs: Vec<(Box<dyn NeuralCoding>, CodingConfig)> = vec![
+        (Box::new(RateCoding::new()), base),
+        (Box::new(RateCoding::new()), theta),
+        (Box::new(RateCoding::new()), steps_theta),
+        (Box::new(RateCoding::new()), steps),
+        (Box::new(TtfsCoding::new()), steps),
+        (Box::new(TtfsCoding::new()), base),
+        (Box::new(TtfsCoding::new()), tau),
+        (Box::new(TtfsCoding::new()), base),
+        (Box::new(TtfsCoding::new()), theta),
+        (ttas(5), theta),
+        (ttas(5), base),
+        (ttas(5), tau),
+        (ttas(3), tau),
+        (ttas(3), base),
+        (phase(8), base),
+        (phase(4), base),
+        (phase(4), steps),
+        (phase(4), steps_theta),
+        (burst(8), steps_theta),
+        (burst(8), base),
+        (burst(4), base),
+        (burst(4), theta),
+        (burst(4), steps_theta),
+    ];
+    let mut reused = SimWorkspace::new();
+    for (run, (coding, cfg)) in runs.iter().enumerate() {
+        for sample in 0..inputs.dims()[0] {
+            let row = inputs.row_slice(sample).unwrap();
+            let context = format!(
+                "run {run} {} T={} θ={} τ={} sample {sample}",
+                coding.name(),
+                cfg.time_steps,
+                cfg.threshold,
+                cfg.ttfs_tau_fraction
+            );
+            let mut rng = StdRng::seed_from_u64(derive_seed(31, sample as u64));
+            let reference = network
+                .simulate_unbuffered(row, coding.as_ref(), cfg, &IdentityTransform, &mut rng)
+                .unwrap();
+            let mut fresh = SimWorkspace::new();
+            let mut digests = Vec::new();
+            for ws in [&mut fresh, &mut reused] {
+                let mut rng = StdRng::seed_from_u64(derive_seed(31, sample as u64));
+                let outcome = network
+                    .simulate_with(row, coding.as_ref(), cfg, &IdentityTransform, &mut rng, ws)
+                    .unwrap();
+                let logits: Vec<u32> = ws.logits().iter().map(|v| v.to_bits()).collect();
+                digests.push((outcome, logits, ws.spikes_per_layer().to_vec()));
+            }
+            let reference_logits: Vec<u32> = reference.logits.iter().map(|v| v.to_bits()).collect();
+            for (outcome, logits, spikes) in &digests {
+                assert_eq!(outcome.predicted, reference.predicted, "{context}");
+                assert_eq!(outcome.total_spikes, reference.total_spikes, "{context}");
+                assert_eq!(logits, &reference_logits, "{context}: logit bits");
+                assert_eq!(spikes, &reference.spikes_per_layer, "{context}");
+            }
+        }
+    }
 }
 
 /// Rebuilds a deletion sweep with a hand-rolled per-sample loop over the
